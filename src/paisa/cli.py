@@ -16,7 +16,6 @@ from typing import List, Optional
 
 from . import crypto, pcapio, simnet, wire
 from .device import Device, TimerConfig
-from .manifest import manifest_from_json
 from .receiver import Receiver, ReceiverConfig, RegistryFetcher
 from .server import DeviceDescription, ManufacturerServer, SyncRejection
 

@@ -9,12 +9,12 @@ bytes yield ``False``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.asymmetric.utils import (
@@ -34,6 +34,10 @@ DIGEST_LEN = 32
 
 _SIGN_ALGO = ec.ECDSA(Prehashed(hashes.SHA256()), deterministic_signing=True)
 _VERIFY_ALGO = ec.ECDSA(Prehashed(hashes.SHA256()))
+
+# Loaded key objects are kept per key bytes, so every signer and verifier
+# builds each key once. A failed load raises and is not cached.
+KEY_CACHE_SIZE = 1024
 
 
 class CryptoError(ValueError):
@@ -76,6 +80,7 @@ def generate_keypair(seed: Optional[bytes] = None) -> KeyPair:
     return _scalar_to_keypair(scalar)
 
 
+@functools.lru_cache(maxsize=KEY_CACHE_SIZE)
 def _load_private(sk: bytes) -> ec.EllipticCurvePrivateKey:
     if len(sk) != PRIVATE_KEY_LEN:
         raise CryptoError("private key must be 32 bytes")
@@ -85,6 +90,7 @@ def _load_private(sk: bytes) -> ec.EllipticCurvePrivateKey:
     return ec.derive_private_key(scalar, CURVE)
 
 
+@functools.lru_cache(maxsize=KEY_CACHE_SIZE)
 def _load_public(pk: bytes) -> ec.EllipticCurvePublicKey:
     if len(pk) != PUBLIC_KEY_LEN:
         raise CryptoError("public key must be 64 bytes")

@@ -12,8 +12,8 @@ import hashlib
 import json
 import string
 import struct
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Tuple
 
 from . import crypto
 

@@ -3,6 +3,11 @@ retrieval, signature verification, and structured presence reports.
 
 Stages run in a fixed order and the first failure decides the verdict; later
 stages are skipped, so e.g. a stale frame never triggers a manifest fetch.
+
+Each distinct manifest is parsed and its manufacturer signature verified once
+per receiver; a change of the manifest bytes (a re-sign or a revocation) is
+seen within one fetch TTL. Pinning, the URL binding, the revocation status and
+the announcement signature are still checked on every frame.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -51,6 +56,16 @@ class FetchError(Exception):
 class FetchResult:
     resolved_url: str
     manifest_bytes: bytes
+
+
+@dataclass(frozen=True)
+class _CachedManifest:
+    """One fetch of a short URL plus the parse-and-verify outcome of its bytes."""
+
+    fetched_at: int
+    fetched: FetchResult
+    manifest: Optional[Manifest]  # None when the bytes are malformed
+    signature_ok: bool
 
 
 class RegistryFetcher:
@@ -161,20 +176,34 @@ class Receiver:
         self.cfg = cfg
         self.clock = clock
         self._lock = threading.Lock()
-        self._manifest_cache: Dict[str, Tuple[int, FetchResult]] = {}
+        self._manifest_cache: Dict[str, _CachedManifest] = {}
         self._recent_sigs: Dict[bytes, int] = {}
 
     # -- manifest retrieval with a short-lived cache ------------------------
 
-    def _fetch_manifest(self, short_url: str, now: int) -> FetchResult:
+    def _fetch_manifest(self, short_url: str, now: int) -> _CachedManifest:
+        """The manifest for ``short_url``, refetched once ``epsilon`` old.
+
+        A refetch that returns the same bytes keeps the earlier parse and
+        signature outcome; new bytes are parsed and verified again.
+        """
         with self._lock:
             cached = self._manifest_cache.get(short_url)
-            if cached is not None and now - cached[0] <= self.cfg.epsilon:
-                return cached[1]
-        result = self.cfg.manifest_fetcher.fetch(short_url)
+        if cached is not None and now - cached.fetched_at <= self.cfg.epsilon:
+            return cached
+        fetched = self.cfg.manifest_fetcher.fetch(short_url)
+        if cached is not None and cached.fetched.manifest_bytes == fetched.manifest_bytes:
+            man, signature_ok = cached.manifest, cached.signature_ok
+        else:
+            try:
+                man = manifest_from_json(fetched.manifest_bytes)
+            except ManifestError:
+                man = None
+            signature_ok = man is not None and verify_manifest(man)
+        entry = _CachedManifest(now, fetched, man, signature_ok)
         with self._lock:
-            self._manifest_cache[short_url] = (now, result)
-        return result
+            self._manifest_cache[short_url] = entry
+        return entry
 
     def _is_duplicate(self, signature: bytes, now: int) -> bool:
         with self._lock:
@@ -234,20 +263,19 @@ class Receiver:
             return report(Verdict.FUTURE)
 
         try:
-            fetched = self._fetch_manifest(msg.short_url, now)
+            cached = self._fetch_manifest(msg.short_url, now)
         except FetchError:
             return report(Verdict.FETCH_ERROR)
-        try:
-            man = manifest_from_json(fetched.manifest_bytes)
-        except ManifestError:
+        man = cached.manifest
+        if man is None:
             return report(Verdict.BAD_MANIFEST_SIGNATURE)
 
         pinned_ok = True
         if self.cfg.pinned_mfr_keys is not None:
             pinned_ok = man.manufacturer_public_key in self.cfg.pinned_mfr_keys
-        if not pinned_ok or not verify_manifest(man):
+        if not pinned_ok or not cached.signature_ok:
             return report(Verdict.BAD_MANIFEST_SIGNATURE, man)
-        if fetched.resolved_url != man.full_url:
+        if cached.fetched.resolved_url != man.full_url:
             return report(Verdict.REDIRECT_MISMATCH, man)
         if man.status == STATUS_REVOKED:
             return report(Verdict.REVOKED, man)

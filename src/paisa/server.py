@@ -20,7 +20,6 @@ from .device import ATTEST_CHUNK_SIZE, Device, SystemNonceSource, TimerConfig
 from .manifest import (
     Manifest,
     ShortUrlRegistry,
-    manifest_from_json,
     manifest_to_json,
     sign_manifest,
 )

@@ -21,7 +21,6 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from . import crypto, wire
 from .device import Device, TimerConfig
-from .manifest import ShortUrlRegistry
 from .receiver import (
     PresenceReport,
     Receiver,
@@ -349,8 +348,11 @@ class Simulation:
             manifest_fetcher=fetcher,
         )
         self.fetcher = fetcher
+        # The clock is captured rather than self: a cycle through self would
+        # keep a finished simulation alive until a full garbage collection.
         self.receivers = [
-            Receiver(cfg, clock=lambda: self.clock.now) for _ in range(scenario.receivers)
+            Receiver(cfg, clock=lambda clock=self.clock: clock.now)
+            for _ in range(scenario.receivers)
         ]
 
     # -- logging ------------------------------------------------------------

@@ -161,3 +161,31 @@ def test_keypair_file_roundtrip(tmp_path):
     assert crypto.load_keypair(path) == keys
     lines = open(path).read().splitlines()
     assert len(lines[0]) == 64 and len(lines[1]) == 128
+
+
+def test_bad_public_keys_fail_on_every_call():
+    keys = crypto.generate_keypair(SEED)
+    digest = hashlib.sha256(b"cached").digest()
+    sig = crypto.sign(keys.private_key, digest)
+    off_curve = keys.public_key[:63] + bytes([keys.public_key[63] ^ 1])
+    with pytest.raises(ValueError):
+        crypto._load_public(off_curve)
+    for pk in (off_curve, keys.public_key[:63], keys.public_key + b"\x00"):
+        for _ in range(3):
+            assert crypto.verify(pk, digest, sig) is False
+    assert crypto.verify(keys.public_key, digest, sig) is True
+
+
+@pytest.mark.parametrize(
+    "scalar", [0, crypto.CURVE_ORDER, crypto.CURVE_ORDER + 1, 2**256 - 1]
+)
+def test_out_of_range_private_scalar_raises_on_every_call(scalar):
+    digest = hashlib.sha256(b"cached").digest()
+    for _ in range(3):
+        with pytest.raises(crypto.CryptoError):
+            crypto.sign(scalar.to_bytes(32, "big"), digest)
+
+
+def test_key_caches_are_bounded():
+    assert crypto._load_public.cache_info().maxsize == 1024
+    assert crypto._load_private.cache_info().maxsize == 1024

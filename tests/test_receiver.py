@@ -228,6 +228,103 @@ def test_manifest_cache_avoids_refetch_within_epsilon(rig):
     assert fetcher.call_count == 2
 
 
+@pytest.fixture
+def manifest_work(monkeypatch):
+    """Counts manifest parses and manufacturer-signature checks in the receiver."""
+    import paisa.receiver as receiver_mod
+
+    counts = {"parse": 0, "verify": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        receiver_mod, "manifest_from_json", counted("parse", receiver_mod.manifest_from_json)
+    )
+    monkeypatch.setattr(
+        receiver_mod, "verify_manifest", counted("verify", receiver_mod.verify_manifest)
+    )
+    return counts
+
+
+def frame_at(rig, clock, now):
+    """A fresh announcement from the synced rig device at receiver time ``now``."""
+    clock.now = now
+    rig["device"].clock.ticks_since_sync = now - 1000
+    return rig["device"].announce_now()[0]
+
+
+def test_manifest_parsed_and_verified_once_across_refetch(rig, manifest_work):
+    synced_frame(rig, now=1000)
+    receiver, clock, fetcher = make_receiver(rig, now=1000)
+    for now in (1000, 1003, 1006, 1009, 1020, 1025, 1031, 1045):
+        rep = receiver.process_frame(frame_at(rig, clock, now))
+        assert rep.verdict is Verdict.VERIFIED
+    assert fetcher.call_count == 4
+    assert manifest_work == {"parse": 1, "verify": 1}
+
+
+def test_manifest_resigned_as_revoked_seen_within_one_ttl(rig, manifest_work):
+    synced_frame(rig, now=1000)
+    receiver, clock, _ = make_receiver(rig, now=1000)
+    assert receiver.process_frame(frame_at(rig, clock, 1000)).verdict is Verdict.VERIFIED
+    server = rig["server"]
+    man = manifest_from_json(server.serve_manifest("/manifests/rig.json"))
+    revoked = sign_manifest(dataclasses.replace(man, status="revoked"), server.keys)
+    server.manifests["/manifests/rig.json"] = manifest_to_json(revoked)
+    rep = receiver.process_frame(frame_at(rig, clock, 1011))
+    assert rep.verdict is Verdict.REVOKED
+    assert rep.manifest.status == "revoked"
+    assert manifest_work == {"parse": 2, "verify": 2}
+
+
+def test_tampered_manifest_bytes_rejected_after_earlier_verified(rig, manifest_work):
+    synced_frame(rig, now=1000)
+    receiver, clock, _ = make_receiver(rig, now=1000)
+    assert receiver.process_frame(frame_at(rig, clock, 1000)).verdict is Verdict.VERIFIED
+    server = rig["server"]
+    man = manifest_from_json(server.serve_manifest("/manifests/rig.json"))
+    server.manifests["/manifests/rig.json"] = manifest_to_json(
+        dataclasses.replace(man, owner_id="mallory")
+    )
+    for now in (1011, 1015, 1030):
+        rep = receiver.process_frame(frame_at(rig, clock, now))
+        assert rep.verdict is Verdict.BAD_MANIFEST_SIGNATURE
+    assert manifest_work == {"parse": 2, "verify": 2}
+
+
+def test_malformed_manifest_bytes_parsed_once(rig, manifest_work):
+    synced_frame(rig, now=1000)
+    rig["server"].manifests["/manifests/rig.json"] = b"{not json"
+    receiver, clock, fetcher = make_receiver(rig, now=1000)
+    for now in (1000, 1011, 1022):
+        rep = receiver.process_frame(frame_at(rig, clock, now))
+        assert rep.verdict is Verdict.BAD_MANIFEST_SIGNATURE
+        assert rep.manifest is None
+    assert fetcher.call_count == 3
+    assert manifest_work == {"parse": 1, "verify": 0}
+
+
+def test_cached_manifest_still_checked_against_pinned_keys(rig, manifest_work):
+    from paisa import crypto
+
+    synced_frame(rig, now=1000)
+    receiver, clock, _ = make_receiver(
+        rig, now=1000, pinned_mfr_keys=frozenset({rig["server"].keys.public_key})
+    )
+    assert receiver.process_frame(frame_at(rig, clock, 1000)).verdict is Verdict.VERIFIED
+    other = crypto.generate_keypair(b"\x66" * 32)
+    receiver.cfg.pinned_mfr_keys = frozenset({other.public_key})
+    for now in (1003, 1020):
+        rep = receiver.process_frame(frame_at(rig, clock, now))
+        assert rep.verdict is Verdict.BAD_MANIFEST_SIGNATURE
+    assert manifest_work == {"parse": 1, "verify": 1}
+
+
 def test_duplicate_frame_flagged_within_epsilon(rig):
     frame = synced_frame(rig, now=1000)
     receiver, clock, _ = make_receiver(rig, now=1000)

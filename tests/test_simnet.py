@@ -1,5 +1,7 @@
+import gc
 import json
 import pathlib
+import weakref
 
 import pytest
 
@@ -224,3 +226,23 @@ def test_log_ndjson_is_valid_and_sorted():
         assert "t" in entry and "event" in entry
         times.append(entry["t"])
     assert times == sorted(times)
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_finished_simulation_freed_without_cycle_collector(path, monkeypatch):
+    refs = []
+
+    class Tracked(simnet.Simulation):
+        def __init__(self, scenario):
+            super().__init__(scenario)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(simnet, "Simulation", Tracked)
+    gc.collect()
+    gc.disable()
+    try:
+        simnet.run_scenario(str(path))
+        assert len(refs) == 1
+        assert refs[0]() is None
+    finally:
+        gc.enable()
