@@ -19,7 +19,6 @@ from . import crypto, wire
 ATTEST_CHUNK_SIZE = 4096
 
 MAX_SYNC_ATTEMPTS = 5
-SYNC_BACKOFF_BASE = 1  # seconds; doubles per retry
 
 
 class DeviceError(RuntimeError):

@@ -16,8 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from . import crypto
-
-SHORT_URL_LEN = 11
+from .wire import SHORT_URL_LEN
 
 STATUS_ACTIVE = "active"
 STATUS_REVOKED = "revoked"
@@ -179,6 +178,13 @@ def manifest_from_json(data: bytes) -> Manifest:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"malformed manifest document: {exc}") from exc
+
+
+def hosted_path(full_url: str) -> str:
+    """The path a manifest is served under: its full URL without scheme and host."""
+    without_scheme = full_url.split("://", 1)[-1]
+    slash = without_scheme.find("/")
+    return without_scheme[slash:] if slash >= 0 else "/" + without_scheme
 
 
 class ShortUrlRegistry:

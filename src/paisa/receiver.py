@@ -25,6 +25,7 @@ from .manifest import (
     ManifestError,
     STATUS_REVOKED,
     ShortUrlRegistry,
+    hosted_path,
     manifest_from_json,
     verify_manifest,
 )
@@ -76,12 +77,6 @@ class RegistryFetcher:
         self.serve = serve
         self.call_count = 0
 
-    @staticmethod
-    def _path_for(full_url: str) -> str:
-        without_scheme = full_url.split("://", 1)[-1]
-        slash = without_scheme.find("/")
-        return without_scheme[slash:] if slash >= 0 else "/" + without_scheme
-
     def fetch(self, short_url: str) -> FetchResult:
         self.call_count += 1
         try:
@@ -90,7 +85,7 @@ class RegistryFetcher:
             raise FetchError(str(exc)) from exc
         if full_url is None:
             raise FetchError(f"short URL {short_url!r} is not registered")
-        doc = self.serve(self._path_for(full_url))
+        doc = self.serve(hosted_path(full_url))
         if doc is None:
             raise FetchError(f"no manifest hosted at {full_url!r}")
         return FetchResult(resolved_url=full_url, manifest_bytes=doc)

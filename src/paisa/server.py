@@ -1,9 +1,22 @@
 """The manufacturer server: provisioning driver, time-sync responder with the
 per-device timestamp map, and manifest hosting.
 
-Rejections are state-free: a rejected request leaves every device record
-byte-identical. Committed timestamps persist on write so a restart never
-loses one.
+Rejections are state-free: a rejected request leaves every device record, and
+the store file, byte-identical. Committed timestamps persist on write so a
+restart never loses one.
+
+The store file is a snapshot followed by a commit journal. Line 1 is the
+whole state (``keys``, ``records``, ``manifests``, ``registry``) as compact
+JSON; it is written to a temporary file and renamed into place, by
+registration and by compaction. Each committed SyncAck then appends one line,
+``{"device_id": hex, "latest_ts": n}``, so a commit costs one small write
+instead of a rewrite of every record. Once the journal holds as many lines as
+there are records, the next commit rewrites the snapshot instead, which keeps
+the file under the snapshot plus one line per record. A server appends only
+to a store it wrote or loaded itself; its first write is a snapshot.
+``load`` replays the journal with ``max``, drops an unterminated last line (a
+torn write), and rejects any other line that does not parse or names an
+unknown device.
 """
 
 from __future__ import annotations
@@ -12,6 +25,7 @@ import hashlib
 import json
 import os
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
@@ -20,6 +34,7 @@ from .device import ATTEST_CHUNK_SIZE, Device, SystemNonceSource, TimerConfig
 from .manifest import (
     Manifest,
     ShortUrlRegistry,
+    hosted_path,
     manifest_to_json,
     sign_manifest,
 )
@@ -89,8 +104,13 @@ class ManufacturerServer:
         self.records: Dict[bytes, DeviceRecord] = {}
         self.manifests: Dict[str, bytes] = {}
         self.registry = ShortUrlRegistry()
-        self._sessions: Dict[bytes, _PendingSession] = {}
+        # Pending sessions in issue order, so the expired ones lead.
+        self._sessions: "OrderedDict[bytes, _PendingSession]" = OrderedDict()
         self._lock = threading.Lock()
+        # The store path whose snapshot this server wrote or loaded, and the
+        # journal lines after that snapshot. Commits append only there.
+        self._snapshot_path: Optional[str] = None
+        self._journal_lines = 0
 
     # -- registration -------------------------------------------------------
 
@@ -143,7 +163,7 @@ class ManufacturerServer:
                 status="active",
             )
             man = sign_manifest(man, self.keys)
-            path = self._path_for(full_url)
+            path = hosted_path(full_url)
             self.manifests[path] = manifest_to_json(man)
             record = DeviceRecord(
                 device_id=device_id,
@@ -155,23 +175,23 @@ class ManufacturerServer:
             self._persist()
             return man, record
 
-    @staticmethod
-    def _path_for(full_url: str) -> str:
-        # Strip scheme and host; manifests are served by path.
-        without_scheme = full_url.split("://", 1)[-1]
-        slash = without_scheme.find("/")
-        return without_scheme[slash:] if slash >= 0 else "/" + without_scheme
-
     def serve_manifest(self, path: str) -> Optional[bytes]:
         """The stored manifest document, byte-identical to the signed artifact."""
         return self.manifests.get(path)
 
     # -- time sync ----------------------------------------------------------
 
+    def _expired(self, session: _PendingSession, now: int) -> bool:
+        return now - session.issued_at > self.session_ttl
+
     def _expire_sessions(self, now: int) -> None:
-        dead = [n for n, s in self._sessions.items() if now - s.issued_at > self.session_ttl]
-        for nonce in dead:
-            del self._sessions[nonce]
+        # Amortised O(1): purge from the oldest end while it has expired. A
+        # session issued after a backward clock step can sit behind a live
+        # one and outlive this, so handle_sync_ack checks the age of the
+        # session it closes as well.
+        sessions = self._sessions
+        while sessions and self._expired(next(iter(sessions.values())), now):
+            sessions.popitem(last=False)
 
     def handle_sync_req(
         self, req: wire.SyncReq, now: int
@@ -215,6 +235,9 @@ class ManufacturerServer:
         with self._lock:
             self._expire_sessions(now)
             session = self._sessions.get(ack.n_svr1)
+            if session is not None and self._expired(session, now):
+                del self._sessions[ack.n_svr1]
+                session = None
             if session is None:
                 return AckOutcome(False, "unknown_session")
             if ack.device_id != session.device_id:
@@ -232,12 +255,28 @@ class ManufacturerServer:
             # Commit: the session is one-shot.
             del self._sessions[ack.n_svr1]
             record.latest_ts = max(record.latest_ts, ack.ts_prev)
-            self._persist()
+            self._commit(record)
             return AckOutcome(True)
 
     # -- persistence --------------------------------------------------------
 
+    def _commit(self, record: DeviceRecord) -> None:
+        """Append one record's timestamp to the journal, or compact."""
+        if self.store_path is None:
+            return
+        if self._snapshot_path != self.store_path or self._journal_lines >= len(self.records):
+            self._persist()
+            return
+        line = json.dumps(
+            {"device_id": record.device_id.hex(), "latest_ts": record.latest_ts},
+            separators=(",", ":"),
+        )
+        with open(self.store_path, "a", encoding="utf-8") as f:
+            f.write(line + "\n")
+        self._journal_lines += 1
+
     def _persist(self) -> None:
+        """Write the snapshot, which empties the journal."""
         if self.store_path is None:
             return
         doc = {
@@ -259,13 +298,18 @@ class ManufacturerServer:
         }
         tmp = self.store_path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=2)
+            f.write(json.dumps(doc, separators=(",", ":")) + "\n")
         os.replace(tmp, self.store_path)
+        self._snapshot_path = self.store_path
+        self._journal_lines = 0
 
     @classmethod
     def load(cls, store_path: str, session_ttl: int = DEFAULT_SESSION_TTL, nonce_source=None) -> "ManufacturerServer":
         with open(store_path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
+            text = f.read()
+        # The snapshot is the first JSON document; a store written as one
+        # indented document (an older format) is a snapshot with no journal.
+        doc, end = json.JSONDecoder().raw_decode(text)
         keys = crypto.KeyPair(
             private_key=bytes.fromhex(doc["keys"]["private_key"]),
             public_key=bytes.fromhex(doc["keys"]["public_key"]),
@@ -281,4 +325,24 @@ class ManufacturerServer:
             srv.records[record.device_id] = record
         srv.manifests = {p: data.encode("utf-8") for p, data in doc["manifests"].items()}
         srv.registry = ShortUrlRegistry.from_dict(doc["registry"])
+
+        lines = text[end:].lstrip().split("\n")
+        lines.pop()  # "" unless the last write was cut short (a torn line)
+        for n, line in enumerate(lines, start=2):
+            try:
+                entry = json.loads(line)
+                record = srv.records.get(bytes.fromhex(entry["device_id"]))
+                latest_ts = entry["latest_ts"]
+            except (ValueError, TypeError, KeyError) as exc:
+                raise ServerError(f"{store_path}: journal line {n} is corrupt: {exc}") from exc
+            if record is None:
+                raise ServerError(f"{store_path}: journal line {n} names an unknown device")
+            if type(latest_ts) is not int:
+                raise ServerError(f"{store_path}: journal line {n} has no integer latest_ts")
+            record.latest_ts = max(record.latest_ts, latest_ts)
+        # Append only after a complete last line. A torn one, or an older
+        # store with no final newline, is rewritten by the first commit.
+        if text.endswith("\n"):
+            srv._snapshot_path = store_path
+            srv._journal_lines = len(lines)
         return srv

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from . import crypto, wire
-from .device import Device, TimerConfig
+from .device import MAX_SYNC_ATTEMPTS, Device, TimerConfig
 from .receiver import (
     PresenceReport,
     Receiver,
@@ -32,7 +32,6 @@ from .server import DeviceDescription, ManufacturerServer, SyncRejection
 LINKS = ("device->server", "server->device", "device->receiver")
 
 SYNC_TIMEOUT_BASE = 2  # seconds to wait for a response; doubles per retry
-MAX_SYNC_ATTEMPTS = 5
 
 
 class ScenarioError(ValueError):

@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import json
+import os
 
 import pytest
 
@@ -205,3 +207,189 @@ def test_sync_resp_signature_binds_all_fields(rig):
     assert crypto.verify(
         server.keys.public_key, hashlib.sha256(preimage).digest(), resp.signature
     )
+
+
+def _store_rig(store, n):
+    """A server with ``n`` provisioned devices, store-backed when ``store`` is a path."""
+    nonces = SeededNonces(17)
+    server = ManufacturerServer(
+        crypto.generate_keypair(b"\x66" * 32), store_path=store, nonce_source=nonces
+    )
+    devices = []
+    for i in range(n):
+        device = Device(nonce_source=nonces)
+        server.register_device(
+            device=device,
+            device_id=bytes([i + 1]) * 16,
+            sw_dev=bytes([i]) * 4096,
+            full_url=f"https://mfr.example/manifests/store-{i}.json",
+            ts_cur=0,
+            timer_config=TimerConfig(5, 5),
+        )
+        devices.append(device)
+    return server, devices
+
+
+def test_ack_for_session_past_ttl_rejected_even_after_clock_step_back():
+    server, devices = _store_rig(None, n=2)
+    ttl = server.session_ttl
+    first, second = devices
+    resp_a = server.handle_sync_req(first.make_sync_req(), now=1000)
+    # The clock steps back: this session is issued after, but older than, A.
+    resp_b = server.handle_sync_req(second.make_sync_req(), now=500)
+    ack_a, ack_b = first.handle_sync_resp(resp_a), second.handle_sync_resp(resp_b)
+    late = server.handle_sync_ack(ack_b, now=1000 + ttl)
+    assert not late.committed and late.reason == "unknown_session"
+    assert server.records[ack_b.device_id].latest_ts == 0
+    assert server.handle_sync_ack(ack_a, now=1000 + ttl).committed
+    assert server.records[ack_a.device_id].latest_ts == 1000
+
+
+def test_pending_sessions_stay_bounded_over_a_long_storm(rig):
+    dev, server = rig["device"], rig["server"]
+    for now in range(5 * server.session_ttl):
+        assert not isinstance(server.handle_sync_req(dev.make_sync_req(), now=now), SyncRejection)
+        assert len(server._sessions) <= server.session_ttl + 1
+
+
+# -- the store file: snapshot plus commit journal ---------------------------
+
+
+def _latest(server):
+    return {did: r.latest_ts for did, r in server.records.items()}
+
+
+def _journal(store):
+    with open(store, encoding="utf-8") as f:
+        return f.read().split("\n")[1:-1]
+
+
+def test_store_replays_journal_of_commits(tmp_path):
+    store = str(tmp_path / "server.json")
+    server, devices = _store_rig(store, n=3)
+    journal_lengths = []
+    for k in range(8):
+        assert complete_sync(server, devices[k % 3], now=10 * (k + 1)).committed
+        journal_lengths.append(len(_journal(store)))
+        reloaded = ManufacturerServer.load(store)
+        assert _latest(reloaded) == _latest(server)
+    # Three records: three appends, then a compaction, and again.
+    assert journal_lengths == [1, 2, 3, 0, 1, 2, 3, 0]
+
+
+def test_store_commit_after_reload_appends_to_the_journal(tmp_path):
+    store = str(tmp_path / "server.json")
+    _, devices = _store_rig(store, n=3)
+    reloaded = ManufacturerServer.load(store)
+    assert complete_sync(reloaded, devices[1], now=42).committed
+    assert _journal(store) == ['{"device_id":"%s","latest_ts":42}' % ("02" * 16)]
+    assert _latest(ManufacturerServer.load(store)) == _latest(reloaded)
+
+
+def test_store_drops_a_torn_last_line(tmp_path):
+    store = str(tmp_path / "server.json")
+    server, devices = _store_rig(store, n=2)
+    assert complete_sync(server, devices[0], now=30).committed
+    with open(store, "a", encoding="utf-8") as f:
+        f.write('{"device_id":"%s","latest_ts":9' % ("02" * 16))
+    reloaded = ManufacturerServer.load(store)
+    assert _latest(reloaded) == _latest(server)
+    # The first commit after a torn line rewrites the store rather than
+    # appending to the torn bytes.
+    assert complete_sync(reloaded, devices[1], now=40).committed
+    assert _journal(store) == []
+    assert _latest(ManufacturerServer.load(store)) == _latest(reloaded)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "not json",
+        "",
+        '{"device_id":"%s","latest_ts":5}' % ("ee" * 16),
+        '{"device_id":"zz","latest_ts":5}',
+        '{"latest_ts":5}',
+        '{"device_id":"%s","latest_ts":"5"}' % ("01" * 16),
+        "[1, 2]",
+    ],
+)
+def test_store_rejects_a_corrupt_terminated_line(tmp_path, line):
+    store = str(tmp_path / "server.json")
+    server, devices = _store_rig(store, n=2)
+    assert complete_sync(server, devices[0], now=30).committed
+    with open(store, "a", encoding="utf-8") as f:
+        f.write(line + "\n")
+    with pytest.raises(ServerError):
+        ManufacturerServer.load(store)
+
+
+def test_store_in_indented_single_document_format_loads_unchanged(tmp_path):
+    store = str(tmp_path / "server.json")
+    server, devices = _store_rig(store, n=2)
+    server._persist()
+    with open(store, encoding="utf-8") as f:
+        doc = json.loads(f.readline())
+    old = str(tmp_path / "old.json")
+    with open(old, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=2)
+    reloaded = ManufacturerServer.load(old)
+    assert reloaded.keys == server.keys
+    assert reloaded.records == server.records
+    assert reloaded.manifests == server.manifests
+    assert reloaded.registry.to_dict() == server.registry.to_dict()
+    # The first commit rewrites it as a snapshot, which loads back.
+    assert complete_sync(reloaded, devices[0], now=12).committed
+    assert _latest(ManufacturerServer.load(old)) == _latest(reloaded)
+
+
+def test_store_compaction_bounds_the_journal(tmp_path):
+    store = str(tmp_path / "server.json")
+    n = 4
+    server, devices = _store_rig(store, n=n)
+    longest = 0
+    for k in range(3 * n):
+        assert complete_sync(server, devices[k % n], now=1000 + k).committed
+        with open(store, encoding="utf-8") as f:
+            snapshot = f.readline()
+            lines = f.read().splitlines(keepends=True)
+        longest = max([longest] + [len(line) for line in lines])
+        assert len(lines) <= n
+        assert os.path.getsize(store) <= len(snapshot) + n * longest
+    assert _latest(ManufacturerServer.load(store)) == _latest(server)
+
+
+def test_rejected_sync_leaves_store_file_byte_identical(tmp_path):
+    store = str(tmp_path / "server.json")
+    server, devices = _store_rig(store, n=2)
+    dev = devices[0]
+    assert complete_sync(server, dev, now=20).committed
+    with open(store, "rb") as f:
+        before = f.read()
+
+    def unchanged():
+        with open(store, "rb") as f:
+            return f.read() == before
+
+    req = dev.make_sync_req()
+    bad_sig = bytearray(req.signature)
+    bad_sig[0] ^= 0x01
+    for forged in (
+        wire.SyncReq(b"\xEE" * 16, req.n_dev1, req.ts_prev, req.signature),
+        wire.SyncReq(req.device_id, req.n_dev1, req.ts_prev + 1, req.signature),
+        wire.SyncReq(req.device_id, req.n_dev1, req.ts_prev, bytes(bad_sig)),
+    ):
+        assert isinstance(server.handle_sync_req(forged, now=30), SyncRejection)
+        assert unchanged()
+
+    ack = dev.handle_sync_resp(server.handle_sync_req(req, now=30))
+    bad_sig = bytearray(ack.signature)
+    bad_sig[0] ^= 0x01
+    for forged, now in (
+        (wire.SyncAck(ack.device_id, ack.n_dev2, b"\x00" * 32, ack.ts_prev, ack.signature), 30),
+        (wire.SyncAck(b"\xEE" * 16, ack.n_dev2, ack.n_svr1, ack.ts_prev, ack.signature), 30),
+        (wire.SyncAck(ack.device_id, ack.n_dev2, ack.n_svr1, ack.ts_prev + 1, ack.signature), 30),
+        (wire.SyncAck(ack.device_id, ack.n_dev2, ack.n_svr1, ack.ts_prev, bytes(bad_sig)), 30),
+        (ack, 30 + server.session_ttl + 1),
+    ):
+        assert not server.handle_sync_ack(forged, now=now).committed
+        assert unchanged()
