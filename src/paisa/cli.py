@@ -12,12 +12,13 @@ import json
 import os
 import socket
 import sys
-from typing import List, Optional
+import time
+from typing import List, Optional, Tuple
 
 from . import crypto, pcapio, simnet, wire
-from .device import Device, TimerConfig
+from .device import Device, DeviceError, TimerConfig
 from .receiver import Receiver, ReceiverConfig, RegistryFetcher
-from .server import DeviceDescription, ManufacturerServer, SyncRejection
+from .server import DeviceDescription, ManufacturerServer
 
 DEFAULT_KEY_DIR_ENV = "PAISA_KEY_DIR"
 
@@ -74,25 +75,11 @@ def cmd_provision(args: argparse.Namespace) -> int:
     except Exception as exc:
         print(f"provision failed: {exc}", file=sys.stderr)
         return 1
-    short_url = server.registry.shorten(args.full_url)
     if args.device_out:
-        state = device.trusted
-        doc = {
-            "device_id": state.device_id.hex(),
-            "private_key": state.device_keys.private_key.hex(),
-            "public_key": state.device_keys.public_key.hex(),
-            "mfr_public_key": state.mfr_public_key.hex(),
-            "short_url": state.short_url,
-            "full_url": state.full_url,
-            "sw_hash": state.sw_hash_expected.hex(),
-            "ts_prev": state.ts_prev,
-            "t_announce": args.t_announce,
-            "t_attest": args.t_attest,
-        }
         with open(args.device_out, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=2)
+            json.dump(device.export_state(), f, indent=2)
     print(f"registered device {device_id.hex()}")
-    print(f"short_url {short_url}")
+    print(f"short_url {device.trusted.short_url}")
     print(f"manifest_path {record.manifest_path}")
     return 0
 
@@ -144,95 +131,62 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_server(args: argparse.Namespace) -> int:
-    """Live UDP time-sync responder backed by a store file."""
-    server = ManufacturerServer.load(args.store)
-    host, port = args.listen.rsplit(":", 1)
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    sock.bind((host or "127.0.0.1", int(port)))
-    print(f"listening on {sock.getsockname()[0]}:{sock.getsockname()[1]}")
-    import time
+def _address(text: str) -> Tuple[str, int]:
+    host, port = text.rsplit(":", 1)
+    return host or "127.0.0.1", int(port)
 
-    handled = 0
-    while args.max_requests == 0 or handled < args.max_requests:
-        data, addr = sock.recvfrom(4096)
-        handled += 1
-        try:
-            msg = wire.decode_sync_message(data)
-        except wire.SyncParseError:
-            continue
-        now = int(time.time())
-        if isinstance(msg, wire.SyncReq):
-            outcome = server.handle_sync_req(msg, now)
-            if isinstance(outcome, SyncRejection):
-                print(f"rejected sync request: {outcome.reason}")
-                continue
-            sock.sendto(wire.encode_sync_message(outcome), addr)
-        elif isinstance(msg, wire.SyncAck):
-            outcome = server.handle_sync_ack(msg, now)
-            print("commit" if outcome.committed else f"ack rejected: {outcome.reason}")
+
+def cmd_server(args: argparse.Namespace) -> int:
+    """Live UDP time-sync responder backed by a store file; prints one JSON
+    event per datagram, named as in the simulator log."""
+    server = ManufacturerServer.load(args.store)
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        sock.bind(_address(args.listen))
+        print(f"listening on {sock.getsockname()[0]}:{sock.getsockname()[1]}", flush=True)
+        handled = 0
+        while args.max_requests == 0 or handled < args.max_requests:
+            data, addr = sock.recvfrom(4096)
+            handled += 1
+            now = int(time.time())
+            outcome = server.handle_datagram(data, now)
+            if outcome.reply is not None:
+                sock.sendto(outcome.reply, addr)
+            print(json.dumps({"t": now, "event": outcome.event, **outcome.fields()}), flush=True)
     return 0
 
 
 def cmd_device(args: argparse.Namespace) -> int:
-    """Live device: sync over UDP, then write announcements to a pcap file."""
-    with open(args.config, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    import time
+    """Live device: sync over UDP, save the synced state back to the config
+    file, then write announcements to a pcap file."""
+    try:
+        with open(args.config, "r", encoding="utf-8") as f, open(args.image, "rb") as img:
+            dev = Device.from_state(json.load(f), img.read())
+    except (OSError, ValueError, DeviceError) as exc:
+        print(f"cannot load device: {exc}", file=sys.stderr)
+        return 1
 
-    dev = Device()
-    dev.provision(
-        device_id=bytes.fromhex(doc["device_id"]),
-        sw_dev=b"",  # program memory restored separately below
-        mfr_public_key=bytes.fromhex(doc["mfr_public_key"]),
-        short_url=doc["short_url"],
-        full_url=doc["full_url"],
-        ts_cur=doc["ts_prev"],
-        timer_config=TimerConfig(doc["t_announce"], doc["t_attest"]),
-        key_seed=None,
-    )
-    # Restore the provisioned identity: the config file is the device's
-    # persisted secure storage.
-    dev.trusted.device_keys = crypto.KeyPair(
-        private_key=bytes.fromhex(doc["private_key"]),
-        public_key=bytes.fromhex(doc["public_key"]),
-    )
-    dev.trusted.sw_hash_expected = bytes.fromhex(doc["sw_hash"])
-    if args.image:
-        with open(args.image, "rb") as f:
-            dev.software.program_memory[:] = f.read()
+    server = _address(args.server)
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        sock.settimeout(args.timeout)
 
-    host, port = args.server.rsplit(":", 1)
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    sock.settimeout(args.timeout)
+        def recv() -> Optional[bytes]:
+            try:
+                return sock.recvfrom(4096)[0]
+            except socket.timeout:
+                return None
 
-    def transport(req: wire.SyncReq) -> Optional[wire.SyncResp]:
-        sock.sendto(wire.encode_sync_message(req), (host or "127.0.0.1", int(port)))
-        try:
-            data, _ = sock.recvfrom(4096)
-            msg = wire.decode_sync_message(data)
-        except (socket.timeout, wire.SyncParseError):
-            return None
-        return msg if isinstance(msg, wire.SyncResp) else None
-
-    for _ in range(5):
-        resp = transport(dev.make_sync_req())
-        if resp is None:
-            continue
-        ack = dev.handle_sync_resp(resp)
-        if ack is not None:
-            sock.sendto(wire.encode_sync_message(ack), (host or "127.0.0.1", int(port)))
-            break
+        frames = [(dev.clock.now, f) for f in dev.boot(lambda d: sock.sendto(d, server), recv)]
     if not dev.synced:
         print("time sync failed; device stays silent", file=sys.stderr)
         return 1
-    frames = [(dev.clock.now, f) for f in dev.announce_now()]
-    for _ in range(args.count - 1):
-        dev.clock.ticks_since_sync += dev.trusted.timer_config.t_announce
-        dev.attest()
-        frames.append((dev.clock.now, wire.encode_beacon(dev.make_announcement(), dev.mac)))
+    tmp = args.config + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as f:
+        json.dump(dev.export_state(), f, indent=2)
+    os.replace(tmp, args.config)
+    while len(frames) < args.count:
+        frames.extend((dev.clock.now, f) for f in dev.tick())
     pcapio.write_pcap(args.pcap, frames)
-    print(f"synced at {resp.ts_cur}; wrote {len(frames)} announcements to {args.pcap}")
+    print(f"synced at {dev.trusted.ts_prev}; wrote {len(frames)} announcements to {args.pcap}")
     return 0
 
 
@@ -280,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("device", help="sync a provisioned device and emit announcements")
     p.add_argument("--config", required=True, help="device state JSON from provision")
     p.add_argument("--server", default="127.0.0.1:9470")
-    p.add_argument("--image", help="software image to load into program memory")
+    p.add_argument("--image", required=True, help="software image to load into program memory")
     p.add_argument("--pcap", required=True, help="write announcements here")
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--timeout", type=float, default=2.0)

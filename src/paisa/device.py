@@ -49,8 +49,6 @@ class NormalSoftware:
     """The untrusted application image; the only thing an adversary may touch."""
 
     program_memory: bytearray
-    compromised: bool = False
-    busy_looping: bool = False
 
 
 @dataclass
@@ -119,21 +117,71 @@ class Device:
         """
         if self.trusted is not None:
             raise DeviceError("device is already provisioned")
-        if len(device_id) != wire.DEVICE_ID_LEN:
-            raise DeviceError("device_id must be 16 bytes")
         keys = crypto.generate_keypair(key_seed)
-        self.software = NormalSoftware(program_memory=bytearray(sw_dev))
-        self.trusted = TrustedState(
-            device_id=device_id,
-            sw_hash_expected=crypto.hash_chunked(sw_dev, ATTEST_CHUNK_SIZE),
-            mfr_public_key=mfr_public_key,
-            short_url=short_url,
-            full_url=full_url,
-            device_keys=keys,
-            ts_prev=ts_cur,
-            timer_config=timer_config,
+        self._install(
+            TrustedState(
+                device_id=device_id,
+                sw_hash_expected=crypto.hash_chunked(sw_dev, ATTEST_CHUNK_SIZE),
+                mfr_public_key=mfr_public_key,
+                short_url=short_url,
+                full_url=full_url,
+                device_keys=keys,
+                ts_prev=ts_cur,
+                timer_config=timer_config,
+            ),
+            sw_dev,
         )
         return keys.public_key
+
+    def _install(self, state: TrustedState, sw_dev: bytes) -> None:
+        if len(state.device_id) != wire.DEVICE_ID_LEN:
+            raise DeviceError("device_id must be 16 bytes")
+        self.software = NormalSoftware(program_memory=bytearray(sw_dev))
+        self.trusted = state
+
+    def export_state(self) -> dict:
+        """The trusted state as a JSON document: the device's secure storage
+        when it lives in a file between runs (see ``from_state``)."""
+        st = self._require_provisioned()
+        return {
+            "device_id": st.device_id.hex(),
+            "private_key": st.device_keys.private_key.hex(),
+            "public_key": st.device_keys.public_key.hex(),
+            "mfr_public_key": st.mfr_public_key.hex(),
+            "short_url": st.short_url,
+            "full_url": st.full_url,
+            "sw_hash": st.sw_hash_expected.hex(),
+            "ts_prev": st.ts_prev,
+            "t_announce": st.timer_config.t_announce,
+            "t_attest": st.timer_config.t_attest,
+        }
+
+    @classmethod
+    def from_state(cls, doc: dict, image: bytes, nonce_source=None) -> "Device":
+        """A provisioned device rebuilt from ``export_state()`` output, with
+        ``image`` as its program memory. A malformed document raises
+        ``DeviceError``."""
+        try:
+            if not all(type(doc[k]) is int for k in ("ts_prev", "t_announce", "t_attest")):
+                raise TypeError("ts_prev, t_announce and t_attest must be integers")
+            state = TrustedState(
+                device_id=bytes.fromhex(doc["device_id"]),
+                sw_hash_expected=bytes.fromhex(doc["sw_hash"]),
+                mfr_public_key=bytes.fromhex(doc["mfr_public_key"]),
+                short_url=doc["short_url"],
+                full_url=doc["full_url"],
+                device_keys=crypto.KeyPair(
+                    private_key=bytes.fromhex(doc["private_key"]),
+                    public_key=bytes.fromhex(doc["public_key"]),
+                ),
+                ts_prev=doc["ts_prev"],
+                timer_config=TimerConfig(doc["t_announce"], doc["t_attest"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DeviceError(f"malformed device state: {exc!r}") from exc
+        device = cls(nonce_source)
+        device._install(state, image)
+        return device
 
     @property
     def mac(self) -> bytes:
@@ -195,19 +243,31 @@ class Device:
             signature=sig,
         )
 
-    def boot(self, transport: Callable[[wire.SyncReq], Optional[wire.SyncResp]]) -> List[bytes]:
-        """Boot sequence for direct (non-simulated) operation.
+    def handle_sync_datagram(self, data: bytes) -> Optional[bytes]:
+        """Handle one datagram from the server: the encoded ack on success,
+        None to retry. Raises ``wire.SyncParseError`` unless it is a SyncResp."""
+        msg = wire.decode_sync_message(data)
+        if not isinstance(msg, wire.SyncResp):
+            raise wire.SyncParseError("unexpected_message")
+        ack = self.handle_sync_resp(msg)
+        return None if ack is None else wire.encode_sync_message(ack)
 
-        Runs time sync through ``transport`` with up to five attempts, then
-        emits the first announcement. An unsynced device emits nothing.
-        ``transport`` returns the server response or None for a lost exchange;
-        it is also responsible for forwarding the ack.
-        """
+    def boot(
+        self, send: Callable[[bytes], None], recv: Callable[[], Optional[bytes]]
+    ) -> List[bytes]:
+        """Blocking boot: time sync over a datagram link, then the first
+        announcement; an unsynced device emits nothing. Each of up to
+        ``MAX_SYNC_ATTEMPTS`` attempts sends a SyncReq and reads one reply
+        (None: none in time); a valid SyncResp is acknowledged."""
         for _ in range(MAX_SYNC_ATTEMPTS):
-            resp = transport(self.make_sync_req())
-            if resp is None:
+            send(wire.encode_sync_message(self.make_sync_req()))
+            data = recv()
+            try:
+                ack = None if data is None else self.handle_sync_datagram(data)
+            except wire.SyncParseError:
                 continue
-            if self.handle_sync_resp(resp) is not None:
+            if ack is not None:
+                send(ack)
                 return self.announce_now()
         return []
 

@@ -65,6 +65,25 @@ class AckOutcome:
     reason: str = ""
 
 
+@dataclass(frozen=True)
+class DatagramOutcome:
+    """One datagram's encoded reply (or None) and the event that records it,
+    named as in the simulator log; ``latest_ts`` is the named device's record
+    after handling."""
+
+    reply: Optional[bytes]
+    event: str
+    reason: Optional[str] = None
+    latest_ts: Optional[int] = None
+
+    def fields(self) -> dict:
+        """The event's fields: a success has no reason, a discard no record."""
+        out = {} if self.reason is None else {"reason": self.reason}
+        if self.event != "server_discard":
+            out["latest_ts"] = self.latest_ts
+        return out
+
+
 @dataclass
 class _PendingSession:
     device_id: bytes
@@ -257,6 +276,30 @@ class ManufacturerServer:
             record.latest_ts = max(record.latest_ts, ack.ts_prev)
             self._commit(record)
             return AckOutcome(True)
+
+    def handle_datagram(self, data: bytes, now: int) -> DatagramOutcome:
+        """Decode one sync datagram, answer it, and encode the reply. Events:
+        server_discard, sync_reject, sync_resp, sync_commit, sync_ack_reject."""
+        try:
+            msg = wire.decode_sync_message(data)
+        except wire.SyncParseError as exc:
+            return DatagramOutcome(None, "server_discard", str(exc))
+        if isinstance(msg, wire.SyncReq):
+            outcome = self.handle_sync_req(msg, now)
+        elif isinstance(msg, wire.SyncAck):
+            outcome = self.handle_sync_ack(msg, now)
+        else:
+            return DatagramOutcome(None, "server_discard", "unexpected_message")
+        record = self.records.get(msg.device_id)
+        latest_ts = record.latest_ts if record else None
+        if isinstance(outcome, wire.SyncResp):
+            reply = wire.encode_sync_message(outcome)
+            return DatagramOutcome(reply, "sync_resp", latest_ts=latest_ts)
+        if isinstance(outcome, SyncRejection):
+            return DatagramOutcome(None, "sync_reject", outcome.reason, latest_ts)
+        if outcome.committed:
+            return DatagramOutcome(None, "sync_commit", latest_ts=latest_ts)
+        return DatagramOutcome(None, "sync_ack_reject", outcome.reason, latest_ts)
 
     # -- persistence --------------------------------------------------------
 

@@ -27,7 +27,7 @@ from .receiver import (
     ReceiverConfig,
     RegistryFetcher,
 )
-from .server import DeviceDescription, ManufacturerServer, SyncRejection
+from .server import DeviceDescription, ManufacturerServer
 
 LINKS = ("device->server", "server->device", "device->receiver")
 
@@ -316,7 +316,6 @@ class Simulation:
 
         self.devices: Dict[str, Device] = {}
         self._name_by_id: Dict[str, str] = {}
-        self._spec_by_name: Dict[str, DeviceSpec] = {}
         self._sw_original: Dict[str, bytes] = {}
         for spec in scenario.devices:
             dev = Device(nonce_source=nonces)
@@ -337,7 +336,6 @@ class Simulation:
             )
             self.devices[spec.name] = dev
             self._name_by_id[device_id.hex()] = spec.name
-            self._spec_by_name[spec.name] = spec
             self._sw_original[spec.name] = sw
 
         fetcher = RegistryFetcher(self.server.registry, self.server.serve_manifest)
@@ -346,7 +344,6 @@ class Simulation:
             future_skew=scenario.future_skew,
             manifest_fetcher=fetcher,
         )
-        self.fetcher = fetcher
         # The clock is captured rather than self: a cycle through self would
         # keep a finished simulation alive until a full garbage collection.
         self.receivers = [
@@ -427,16 +424,9 @@ class Simulation:
             self._log("sync_failed", device=name, attempts=attempt)
             return
         self._log("sync_attempt", device=name, attempt=attempt)
-        req = dev.make_sync_req()
-        payload = wire.encode_sync_message(req)
+        payload = wire.encode_sync_message(dev.make_sync_req())
         self._maybe_capture_sync(name, "sync_req", payload)
-        self._send(
-            "device->server",
-            name,
-            "sync_req",
-            payload,
-            lambda data, sid: self._server_on_datagram(name, data, replayed=False),
-        )
+        self._send_to_server(name, "sync_req", payload)
         timeout = SYNC_TIMEOUT_BASE * (2 ** attempt)
         self.clock.schedule(self.clock.now + timeout, lambda: self._boot(name, attempt + 1))
 
@@ -444,95 +434,52 @@ class Simulation:
         for directive in self.scenario.adversary.replay_sync:
             if directive.device == name and directive.message == kind and not directive.captured:
                 directive.captured = True
-                inject_at = self.clock.now + directive.delay
                 self.clock.schedule(
-                    inject_at,
-                    lambda: self._send(
-                        "device->server",
-                        name,
-                        kind,
-                        payload,
-                        lambda data, sid: self._server_on_datagram(name, data, replayed=True),
-                        replayed=True,
-                    ),
+                    self.clock.now + directive.delay,
+                    lambda: self._send_to_server(name, kind, payload, replayed=True),
                 )
 
+    def _send_to_server(
+        self, name: str, kind: str, payload: bytes, replayed: bool = False
+    ) -> None:
+        self._send(
+            "device->server",
+            name,
+            kind,
+            payload,
+            lambda data, sid: self._server_on_datagram(name, data, replayed),
+            replayed=replayed,
+        )
+
     def _server_on_datagram(self, name: str, data: bytes, replayed: bool) -> None:
-        try:
-            msg = wire.decode_sync_message(data)
-        except wire.SyncParseError as exc:
-            self._log("server_discard", device=name, reason=str(exc), replayed=replayed)
+        outcome = self.server.handle_datagram(data, self.clock.now)
+        if outcome.reply is None:
+            self._log(outcome.event, device=name, replayed=replayed, **outcome.fields())
             return
-        now = self.clock.now
-        if isinstance(msg, wire.SyncReq):
-            outcome = self.server.handle_sync_req(msg, now)
-            if isinstance(outcome, SyncRejection):
-                record = self.server.records.get(msg.device_id)
-                self._log(
-                    "sync_reject",
-                    device=name,
-                    reason=outcome.reason,
-                    replayed=replayed,
-                    latest_ts=record.latest_ts if record else None,
-                )
-                return
-            payload = wire.encode_sync_message(outcome)
-            self._send(
-                "server->device",
-                name,
-                "sync_resp",
-                payload,
-                lambda d, sid: self._device_on_sync_resp(name, d),
-            )
-        elif isinstance(msg, wire.SyncAck):
-            outcome = self.server.handle_sync_ack(msg, now)
-            record = self.server.records.get(msg.device_id)
-            if outcome.committed:
-                self._log(
-                    "sync_commit",
-                    device=name,
-                    replayed=replayed,
-                    latest_ts=record.latest_ts if record else None,
-                )
-            else:
-                self._log(
-                    "sync_ack_reject",
-                    device=name,
-                    reason=outcome.reason,
-                    replayed=replayed,
-                    latest_ts=record.latest_ts if record else None,
-                )
-        else:
-            self._log("server_discard", device=name, reason="unexpected_message", replayed=replayed)
+        self._send(
+            "server->device",
+            name,
+            "sync_resp",
+            outcome.reply,
+            lambda d, sid: self._device_on_sync_resp(name, d),
+        )
 
     def _device_on_sync_resp(self, name: str, data: bytes) -> None:
         dev = self.devices[name]
         try:
-            msg = wire.decode_sync_message(data)
+            payload = dev.handle_sync_datagram(data)
         except wire.SyncParseError as exc:
             self._log("device_discard", device=name, reason=str(exc))
             return
-        if not isinstance(msg, wire.SyncResp):
-            self._log("device_discard", device=name, reason="unexpected_message")
-            return
-        was_synced = dev.synced
-        ack = dev.handle_sync_resp(msg)
-        if ack is None:
+        if payload is None:
             self._log("device_sync_retry", device=name)
             return
-        payload = wire.encode_sync_message(ack)
         self._maybe_capture_sync(name, "sync_ack", payload)
-        self._send(
-            "device->server",
-            name,
-            "sync_ack",
-            payload,
-            lambda d, sid: self._server_on_datagram(name, d, replayed=False),
-        )
-        if not was_synced:
-            self._log("device_synced", device=name, ts=dev.clock.now)
-            self._broadcast(name, dev.announce_now())
-            self._schedule_tick(name)
+        self._send_to_server(name, "sync_ack", payload)
+        # Only an unsynced device holds a pending nonce: an ack means it just synced.
+        self._log("device_synced", device=name, ts=dev.clock.now)
+        self._broadcast(name, dev.announce_now())
+        self._schedule_tick(name)
 
     # -- runtime -------------------------------------------------------------
 
@@ -629,8 +576,6 @@ class Simulation:
         sw = self.devices[directive.device].software
         if directive.flip_byte is not None:
             sw.program_memory[directive.flip_byte % len(sw.program_memory)] ^= 0xFF
-        sw.busy_looping = sw.busy_looping or directive.busy_loop
-        sw.compromised = True
         self._log(
             "compromise",
             device=directive.device,
@@ -641,8 +586,6 @@ class Simulation:
     def _restore(self, directive: _CompromiseDirective) -> None:
         sw = self.devices[directive.device].software
         sw.program_memory[:] = self._sw_original[directive.device]
-        sw.compromised = False
-        sw.busy_looping = False
         self._log("restore", device=directive.device)
 
     # -- run ------------------------------------------------------------------

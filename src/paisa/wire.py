@@ -29,6 +29,14 @@ MAC_LEN = 6
 ANNOUNCEMENT_LEN = NONCE_LEN + TS_LEN + SHORT_URL_LEN + ATT_RESULT_LEN + ATT_TS_LEN + SIG_LEN
 assert ANNOUNCEMENT_LEN == 116
 
+# Big-endian struct codes for the integer widths: layouts come from the widths.
+_UINT = {1: "B", 4: "I"}
+
+_ANNOUNCEMENT = struct.Struct(
+    f">{NONCE_LEN}s{_UINT[TS_LEN]}{SHORT_URL_LEN}s"
+    f"{_UINT[ATT_RESULT_LEN]}{_UINT[ATT_TS_LEN]}{SIG_LEN}s"
+)
+
 BEACON_FRAME_LEN = 240
 
 TS_MAX = 2**32 - 1
@@ -99,12 +107,13 @@ class AnnouncementMsg:
 def encode_announcement(msg: AnnouncementMsg) -> bytes:
     """Serialize to exactly 116 bytes in declared field order."""
     msg.validate()
-    out = (
-        msg.nonce
-        + struct.pack(">I", msg.timestamp)
-        + msg.short_url.encode("ascii")
-        + struct.pack(">BI", msg.att_result, msg.att_timestamp)
-        + msg.signature
+    out = _ANNOUNCEMENT.pack(
+        msg.nonce,
+        msg.timestamp,
+        msg.short_url.encode("ascii"),
+        msg.att_result,
+        msg.att_timestamp,
+        msg.signature,
     )
     assert len(out) == ANNOUNCEMENT_LEN
     return out
@@ -116,11 +125,9 @@ def decode_announcement(data: bytes) -> AnnouncementMsg:
         raise AnnouncementParseError(
             "length", f"expected {ANNOUNCEMENT_LEN} bytes, got {len(data)}"
         )
-    nonce = data[:32]
-    (timestamp,) = struct.unpack(">I", data[32:36])
-    url_bytes = data[36:47]
-    att_result, att_timestamp = struct.unpack(">BI", data[47:52])
-    signature = data[52:116]
+    nonce, timestamp, url_bytes, att_result, att_timestamp, signature = (
+        _ANNOUNCEMENT.unpack(data)
+    )
     try:
         short_url = url_bytes.decode("ascii")
     except UnicodeDecodeError:
@@ -277,34 +284,26 @@ def encode_sync_message(msg: SyncMessage) -> bytes:
     raise TypeError(f"not a sync message: {type(msg)!r}")
 
 
-_SYNC_REQ_BODY = DEVICE_ID_LEN + NONCE_LEN + TS_LEN + SIG_LEN
-_SYNC_RESP_BODY = DEVICE_ID_LEN + 2 * NONCE_LEN + TS_LEN + SIG_LEN
+_SYNC_REQ = struct.Struct(f">{DEVICE_ID_LEN}s{NONCE_LEN}s{_UINT[TS_LEN]}{SIG_LEN}s")
+# SyncResp and SyncAck share one body layout: id, two nonces, timestamp, sig.
+_SYNC_RESP = struct.Struct(
+    f">{DEVICE_ID_LEN}s{NONCE_LEN}s{NONCE_LEN}s{_UINT[TS_LEN]}{SIG_LEN}s"
+)
 
 
 def decode_sync_message(data: bytes) -> SyncMessage:
     if not data:
         raise SyncParseError("empty datagram")
-    tag, body = data[0], data[1:]
+    tag, body_len = data[0], len(data) - 1
     if tag == SYNC_REQ_TAG:
-        if len(body) != _SYNC_REQ_BODY:
-            raise SyncParseError(f"sync request body must be {_SYNC_REQ_BODY} bytes")
-        return SyncReq(
-            device_id=body[:16],
-            n_dev1=body[16:48],
-            ts_prev=struct.unpack(">I", body[48:52])[0],
-            signature=body[52:],
-        )
+        if body_len != _SYNC_REQ.size:
+            raise SyncParseError(f"sync request body must be {_SYNC_REQ.size} bytes")
+        return SyncReq(*_SYNC_REQ.unpack_from(data, 1))
     if tag in (SYNC_RESP_TAG, SYNC_ACK_TAG):
-        if len(body) != _SYNC_RESP_BODY:
-            raise SyncParseError(f"sync body must be {_SYNC_RESP_BODY} bytes")
-        device_id = body[:16]
-        nonce_a = body[16:48]
-        nonce_b = body[48:80]
-        ts = struct.unpack(">I", body[80:84])[0]
-        sig = body[84:]
-        if tag == SYNC_RESP_TAG:
-            return SyncResp(device_id, nonce_a, nonce_b, ts, sig)
-        return SyncAck(device_id, nonce_a, nonce_b, ts, sig)
+        if body_len != _SYNC_RESP.size:
+            raise SyncParseError(f"sync body must be {_SYNC_RESP.size} bytes")
+        cls = SyncResp if tag == SYNC_RESP_TAG else SyncAck
+        return cls(*_SYNC_RESP.unpack_from(data, 1))
     raise SyncParseError(f"unknown sync message tag 0x{tag:02x}")
 
 

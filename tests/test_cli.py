@@ -1,5 +1,7 @@
 import json
 import pathlib
+import socket
+import threading
 
 import pytest
 
@@ -152,3 +154,58 @@ def test_scan_missing_pcap_nonzero_exit(tmp_path, capsys):
     rc = main(["scan", "--input", str(tmp_path / "nope.pcap"), "--store", "irrelevant"])
     assert rc == 1
     assert "cannot read pcap" in capsys.readouterr().err
+
+
+def free_udp_port():
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def test_live_server_device_scan_end_to_end(tmp_path, capsys):
+    """provision -> server -> device -> scan on 127.0.0.1, twice: the second
+    device run syncs from the state the first one wrote back."""
+    config = str(tmp_path / "device.json")
+    rc, store = provision(tmp_path, device_out=config)
+    assert rc == 0
+    pcap = str(tmp_path / "live.pcap")
+    for run in range(2):
+        port = free_udp_port()
+        # One sync is two datagrams, SyncReq and SyncAck.
+        argv = ["server", "--store", store, "--listen", f"127.0.0.1:{port}", "--max-requests", "2"]
+        server = threading.Thread(target=main, args=(argv,), daemon=True)
+        server.start()
+        # A SyncReq sent before the server binds is lost; the device retries.
+        rc = main([
+            "device", "--config", config, "--server", f"127.0.0.1:{port}",
+            "--image", str(tmp_path / "fw.bin"), "--pcap", pcap, "--count", "3",
+            "--timeout", "0.5",
+        ])
+        server.join(timeout=10)
+        assert not server.is_alive()
+        out = capsys.readouterr().out
+        assert rc == 0, f"device run {run + 1} did not sync"
+        events = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
+        assert [e["event"] for e in events] == ["sync_resp", "sync_commit"]
+        synced_ts = json.loads(pathlib.Path(config).read_text())["ts_prev"]
+        assert synced_ts == events[1]["latest_ts"] > 0
+
+        assert main(["scan", "--input", pcap, "--store", store]) == 0
+        assert "3 verified of 3 frames" in capsys.readouterr().err
+
+
+def test_device_requires_an_image(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["device", "--config", str(tmp_path / "d.json"), "--pcap", str(tmp_path / "p")])
+    assert "--image" in capsys.readouterr().err
+
+
+def test_device_with_a_malformed_config_fails_cleanly(tmp_path, capsys):
+    config = tmp_path / "device.json"
+    config.write_text(json.dumps({"device_id": "07" * 16}))
+    image = tmp_path / "fw.bin"
+    image.write_bytes(b"\x00" * 64)
+    argv = ["device", "--config", str(config), "--image", str(image), "--pcap", str(tmp_path / "p")]
+    rc = main(argv)
+    assert rc == 1
+    assert "cannot load device" in capsys.readouterr().err

@@ -4,9 +4,9 @@ import json
 import pytest
 
 from paisa import crypto, wire
-from paisa.device import Device, DeviceError, TimerConfig
+from paisa.device import MAX_SYNC_ATTEMPTS, Device, DeviceError, TimerConfig
 
-from conftest import complete_sync
+from conftest import SeededNonces, complete_sync
 
 
 def test_timer_config_requires_multiple():
@@ -159,8 +159,6 @@ def test_compromise_never_changes_cadence(rig):
     dev = rig["device"]
     complete_sync(rig["server"], dev, now=0)
     frames = dev.announce_now()
-    dev.software.compromised = True
-    dev.software.busy_looping = True
     dev.software.program_memory[:] = b"\x00" * len(dev.software.program_memory)
     for _ in range(100):
         frames.extend(dev.tick())
@@ -190,26 +188,48 @@ def test_private_key_never_in_emitted_bytes(rig):
         assert sk.hex().encode() not in blob
 
 
+def link_to(server, now, lose=()):
+    """A blocking datagram link to ``server``: every datagram is handled at
+    ``now``; the replies to the sends numbered in ``lose`` (from 1) are lost."""
+    outcomes = []
+
+    def send(data):
+        outcomes.append(server.handle_datagram(data, now))
+
+    def recv():
+        return None if len(outcomes) in lose else outcomes[-1].reply
+
+    return send, recv, outcomes
+
+
 def test_boot_with_transport_retries(rig):
     dev, server = rig["device"], rig["server"]
-    calls = {"n": 0}
-
-    def flaky_transport(req):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            return None  # first response lost
-        resp = server.handle_sync_req(req, now=50)
-        return resp
-
-    frames = dev.boot(flaky_transport)
+    send, recv, outcomes = link_to(server, now=50, lose={1})
+    frames = dev.boot(send, recv)
     assert dev.synced
-    assert calls["n"] == 2
+    assert [o.event for o in outcomes] == ["sync_resp", "sync_resp", "sync_commit"]
+    assert server.records[dev.trusted.device_id].latest_ts == dev.trusted.ts_prev == 50
     assert len(frames) == 1
 
 
-def test_boot_unreachable_server_stays_silent():
-    from conftest import SeededNonces
+def test_boot_drops_garbage_and_unexpected_replies(rig):
+    dev, server = rig["device"], rig["server"]
+    send, link_recv, outcomes = link_to(server, now=70)
 
+    def recv():
+        reply = link_recv()
+        if len(outcomes) == 1:
+            return b"\x02garbage"
+        if len(outcomes) == 2:
+            return bytes((wire.SYNC_ACK_TAG,)) + reply[1:]  # a SyncResp retagged
+        return reply
+
+    assert len(dev.boot(send, recv)) == 1
+    assert [o.event for o in outcomes] == ["sync_resp"] * 3 + ["sync_commit"]
+    assert server.records[dev.trusted.device_id].latest_ts == 70
+
+
+def test_boot_unreachable_server_stays_silent():
     dev = Device(nonce_source=SeededNonces(1))
     dev.provision(
         device_id=b"\x01" * 16,
@@ -220,6 +240,64 @@ def test_boot_unreachable_server_stays_silent():
         ts_cur=0,
         timer_config=TimerConfig(10, 10),
     )
-    assert dev.boot(lambda req: None) == []
+    sent = []
+    assert dev.boot(sent.append, lambda: None) == []
+    assert len(sent) == MAX_SYNC_ATTEMPTS
     assert not dev.synced
     assert dev.tick() == []
+
+
+# -- state file --------------------------------------------------------------
+
+
+def test_state_round_trips_and_the_copy_syncs(rig):
+    dev, server = rig["device"], rig["server"]
+    complete_sync(server, dev, now=100)
+    doc = json.loads(json.dumps(dev.export_state()))
+    copy = Device.from_state(doc, rig["sw"], nonce_source=SeededNonces(3))
+    assert copy.trusted == dev.trusted
+    assert copy.software.program_memory == dev.software.program_memory
+    assert copy.export_state() == doc
+    assert not copy.synced
+    assert complete_sync(server, copy, now=200).committed
+    assert copy.attest().att_result == 1
+
+
+def test_state_keeps_the_provisioned_file_format(rig):
+    assert list(rig["device"].export_state()) == [
+        "device_id", "private_key", "public_key", "mfr_public_key", "short_url",
+        "full_url", "sw_hash", "ts_prev", "t_announce", "t_attest",
+    ]
+
+
+DROP = object()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"device_id": "07" * 15},  # the length provision checks
+        {"device_id": "not hex"},
+        {"sw_hash": DROP},
+        {"private_key": 7},
+        {"private_key": "00" * 31},
+        {"ts_prev": "0"},
+        {"ts_prev": True},
+        {"t_announce": 0},
+        {"t_attest": 25},  # not a multiple of t_announce
+        {"t_announce": 10.0},
+        {"full_url": DROP},
+    ],
+    ids=lambda c: ",".join(f"{k}={'missing' if v is DROP else v!r}" for k, v in c.items()),
+)
+def test_from_state_rejects_malformed_fields(rig, change):
+    doc = {**rig["device"].export_state(), **change}
+    doc = {k: v for k, v in doc.items() if v is not DROP}
+    with pytest.raises(DeviceError):
+        Device.from_state(doc, rig["sw"])
+
+
+@pytest.mark.parametrize("doc", [[], "state", None, {}])
+def test_from_state_rejects_a_document_that_is_not_an_object(doc):
+    with pytest.raises(DeviceError):
+        Device.from_state(doc, b"")

@@ -393,3 +393,26 @@ def test_rejected_sync_leaves_store_file_byte_identical(tmp_path):
     ):
         assert not server.handle_sync_ack(forged, now=now).committed
         assert unchanged()
+
+
+def test_handle_datagram_names_each_outcome_as_the_simulator_log(rig):
+    dev, server = rig["device"], rig["server"]
+
+    def handle(data, now):
+        outcome = server.handle_datagram(data, now)
+        return outcome.event, outcome.fields()
+
+    assert handle(b"", 10) == ("server_discard", {"reason": "empty datagram"})
+    req = wire.encode_sync_message(dev.make_sync_req())
+    stranger = dataclasses.replace(wire.decode_sync_message(req), device_id=b"\x09" * 16)
+    assert handle(wire.encode_sync_message(stranger), 10) == (
+        "sync_reject", {"reason": "unknown_device", "latest_ts": None}
+    )
+    resp = server.handle_datagram(req, 10)
+    assert (resp.event, resp.fields()) == ("sync_resp", {"latest_ts": 0})
+    assert handle(resp.reply, 10) == ("server_discard", {"reason": "unexpected_message"})
+    ack = dev.handle_sync_datagram(resp.reply)
+    commit = server.handle_datagram(ack, 10)
+    assert (commit.reply, commit.event, commit.fields()) == (None, "sync_commit", {"latest_ts": 10})
+    assert handle(ack, 11) == ("sync_ack_reject", {"reason": "unknown_session", "latest_ts": 10})
+    assert handle(req, 11) == ("sync_reject", {"reason": "timestamp_mismatch", "latest_ts": 10})

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import pathlib
 import weakref
@@ -246,3 +247,72 @@ def test_finished_simulation_freed_without_cycle_collector(path, monkeypatch):
         assert refs[0]() is None
     finally:
         gc.enable()
+
+
+# -- pinned output -----------------------------------------------------------
+
+# sha256 of log_ndjson() and of the beacon frames (each frame's time as 8
+# big-endian bytes, then the frame). A refactor of the simulator, the server
+# or the device must leave every one of these unchanged.
+PINNED = {
+    "compromise": (
+        "ca2a8107bd5dd53c3d4366154f52ca8c3785101ab053caf4c1f31801397433c8",
+        "6637a43a9e8ec13cd7ad3db74e79e68b7303fd18e4fa30c76159189a2d99a1ae",
+    ),
+    "honest": (
+        "a77a848444edc98b52db4c323ac0e66cc09bcb617dc33476b31a000b12b7eff1",
+        "8d55b12f8319daf83243ebe403624d8877c4906bbda780e2f95e5bfc0b9a6cd6",
+    ),
+    "replay": (
+        "584088e232a9ad570b92141c2dd1a7dacc8fb5d8dfde5850a123f61f3c2ea6cc",
+        "33105c44e1cf282ec4647ca4ee1f3cafc037844426a0d9c8772bdcb4dc256a12",
+    ),
+    "replay_within_window": (
+        "9ea5f89e0f7c660ce6743b124c1680cd2cae197ce6d7cf4d92fa577758213054",
+        "07059faeedc627a4f2a1f71e0ff03ddf9b4d8093291988612bc17b0d0816e6dc",
+    ),
+    "timesync_drop": (
+        "b0c71f9752f57355808bb07d52b6616153d8da95f577dfc216b31440f24303ea",
+        "cb9180a564e2d0e719dd04e4c982cc5bb0c35d2e42d45cd0d1865031df76d14d",
+    ),
+    "tamper_sync": (
+        "817514a14b39481ccfc2702e92c4858a95f00c60d9ce984220ce771b6b90ff8b",
+        "92aee64579af39027d0bba96de2eb271e4cd047c9fa213de160b5613496f57d2",
+    ),
+}
+
+# Flips the tag bit of the first SyncReq (it then reads as a short SyncAck)
+# and of the first SyncResp (it then reads as a SyncAck): the only run that
+# logs server_discard and device_discard.
+TAMPER_SYNC = base_doc(
+    seed=7,
+    adversary={
+        "tamper": [
+            {"link": "device->server", "max_matches": 1, "flip_bit": 1},
+            {"link": "server->device", "max_matches": 1, "flip_bit": 0},
+        ]
+    },
+)
+
+
+def frames_digest(frames):
+    h = hashlib.sha256()
+    for t, frame in frames:
+        h.update(t.to_bytes(8, "big") + frame)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_log_and_frames_match_pinned_digests(name):
+    source = TAMPER_SYNC if name == "tamper_sync" else str(SCENARIOS / f"{name}.json")
+    result = simnet.run_scenario(source)
+    log_digest = hashlib.sha256(result.log_ndjson().encode()).hexdigest()
+    assert (log_digest, frames_digest(result.beacon_frames)) == PINNED[name]
+
+
+def test_tamper_sync_discards_then_syncs():
+    result = simnet.run_scenario(TAMPER_SYNC)
+    events = [(e["event"], e.get("reason")) for e in result.log]
+    assert ("server_discard", "sync body must be 148 bytes") in events
+    assert ("device_discard", "unexpected_message") in events
+    assert ("sync_commit", None) in events
