@@ -1,5 +1,4 @@
-"""Cryptographic primitives: ECDSA over prime256v1, chunked SHA-256, and
-fixed-width canonical concatenation for signed payloads.
+"""Cryptographic primitives: ECDSA over prime256v1 and chunked SHA-256.
 
 All signatures are raw 64-byte ``r || s`` (big-endian, fixed width), never DER.
 Signing uses deterministic nonces (RFC 6979) so identical inputs produce
@@ -13,7 +12,7 @@ import functools
 import hashlib
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
@@ -54,6 +53,8 @@ class KeyPair:
     def __post_init__(self) -> None:
         if len(self.private_key) != PRIVATE_KEY_LEN:
             raise CryptoError("private key must be 32 bytes")
+        if not 0 < int.from_bytes(self.private_key, "big") < CURVE_ORDER:
+            raise CryptoError("private scalar out of range")
         if len(self.public_key) != PUBLIC_KEY_LEN:
             raise CryptoError("public key must be 64 bytes")
 
@@ -142,23 +143,6 @@ def verify(pk: bytes, message_digest: bytes, sig: bytes) -> bool:
         return True
     except Exception:
         return False
-
-
-def canonical_concat(fields: Sequence[Tuple[bytes, int]]) -> bytes:
-    """Concatenate fixed-width byte fields in order.
-
-    Each entry is ``(value, declared_width)``; a value whose length differs
-    from its declared width is rejected. Fixed widths make the concatenation
-    injective, which is what makes the signed preimages unambiguous.
-    """
-    out = bytearray()
-    for value, width in fields:
-        if len(value) != width:
-            raise ValueError(
-                f"field of undeclared width: got {len(value)} bytes, declared {width}"
-            )
-        out += value
-    return bytes(out)
 
 
 def save_keypair(path: str, keys: KeyPair) -> None:

@@ -104,15 +104,10 @@ def sign_manifest(manifest: Manifest, mfr_keys: crypto.KeyPair) -> Manifest:
     )
 
 
-def verify_manifest(manifest: Manifest, expected_mfr_pk: Optional[bytes] = None) -> bool:
-    """True iff the embedded signature verifies over the canonical payload.
-
-    When ``expected_mfr_pk`` is supplied the embedded key must also equal it
-    (key pinning), so a forged manifest cannot bring its own key.
-    """
+def verify_manifest(manifest: Manifest) -> bool:
+    """True iff the embedded signature verifies under the embedded key; key
+    pinning is the receiver's (``ReceiverConfig.pinned_mfr_keys``)."""
     if manifest.manufacturer_public_key is None or manifest.manifest_signature is None:
-        return False
-    if expected_mfr_pk is not None and manifest.manufacturer_public_key != expected_mfr_pk:
         return False
     try:
         digest = hashlib.sha256(canonicalize(manifest)).digest()

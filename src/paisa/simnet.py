@@ -394,9 +394,9 @@ class Simulation:
         device: Optional[str],
         kind: str,
         payload: bytes,
-        deliver: Callable[[bytes, int], None],
+        deliver: Callable[[bytes], None],
         replayed: bool = False,
-    ) -> int:
+    ) -> None:
         """Push one message onto the medium; the adversary sees only bytes."""
         self._send_seq += 1
         send_id = self._send_seq
@@ -405,14 +405,13 @@ class Simulation:
         )
         outcome = self._apply_rules(link, device, payload, send_id)
         if outcome is None:
-            return send_id
+            return
         data, delay = outcome
         self.clock.schedule(self.clock.now + delay, lambda: self._deliver(send_id, link, device, kind, data, deliver))
-        return send_id
 
     def _deliver(self, send_id, link, device, kind, data, deliver) -> None:
         self._log("deliver", id=send_id, link=link, device=device, kind=kind)
-        deliver(data, send_id)
+        deliver(data)
 
     # -- sync flow -----------------------------------------------------------
 
@@ -447,7 +446,7 @@ class Simulation:
             name,
             kind,
             payload,
-            lambda data, sid: self._server_on_datagram(name, data, replayed),
+            lambda data: self._server_on_datagram(name, data, replayed),
             replayed=replayed,
         )
 
@@ -461,7 +460,7 @@ class Simulation:
             name,
             "sync_resp",
             outcome.reply,
-            lambda d, sid: self._device_on_sync_resp(name, d),
+            lambda d: self._device_on_sync_resp(name, d),
         )
 
     def _device_on_sync_resp(self, name: str, data: bytes) -> None:
@@ -504,7 +503,7 @@ class Simulation:
                     name,
                     "beacon",
                     frame,
-                    lambda data, sid, idx=idx: self._receiver_on_frame(idx, data, replayed=False),
+                    lambda data, idx=idx: self._receiver_on_frame(idx, data, replayed=False),
                 )
 
     def _maybe_capture_beacon(self, name: str, frame: bytes) -> None:
@@ -535,7 +534,7 @@ class Simulation:
                 device,
                 "beacon",
                 frame,
-                lambda data, sid, idx=idx: self._receiver_on_frame(idx, data, replayed=True),
+                lambda data, idx=idx: self._receiver_on_frame(idx, data, replayed=True),
                 replayed=True,
             )
 

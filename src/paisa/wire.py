@@ -1,6 +1,13 @@
 """Bit-exact codecs for the announcement payload, the 802.11 beacon frame that
 carries it, and the three time-sync datagrams.
 
+Each signed record is declared once, as the ``struct`` format of its signed
+fields built from the width table: the message layout is those fields plus
+the signature, and the signature preimage is the same fields with the device
+identifier in front where the message does not carry it. Every pack rejects
+a bytes field of the wrong width, so each preimage is injective and no
+message encodes to the wrong length.
+
 All multi-byte integers inside signed payloads are big-endian (network order).
 802.11 header fields follow the standard's little-endian layout but sit outside
 every signed region, so their values are protocol-neutral constants.
@@ -16,7 +23,7 @@ from typing import Optional, Union
 from . import crypto
 
 # Field widths (bytes) for every fixed-width value on the wire. These tables
-# are the single source of truth for signed-preimage layouts.
+# are the single source of truth for the signed layouts below.
 DEVICE_ID_LEN = 16
 NONCE_LEN = 32
 TS_LEN = 4
@@ -31,11 +38,32 @@ assert ANNOUNCEMENT_LEN == 116
 
 # Big-endian struct codes for the integer widths: layouts come from the widths.
 _UINT = {1: "B", 4: "I"}
+_ID, _NONCE, _TS, _SIG = f"{DEVICE_ID_LEN}s", f"{NONCE_LEN}s", _UINT[TS_LEN], f"{SIG_LEN}s"
 
-_ANNOUNCEMENT = struct.Struct(
-    f">{NONCE_LEN}s{_UINT[TS_LEN]}{SHORT_URL_LEN}s"
-    f"{_UINT[ATT_RESULT_LEN]}{_UINT[ATT_TS_LEN]}{SIG_LEN}s"
+# The signed fields of each record, in wire order.
+_ANNOUNCEMENT_SIGNED = (
+    f"{_NONCE}{_TS}{SHORT_URL_LEN}s{_UINT[ATT_RESULT_LEN]}{_UINT[ATT_TS_LEN]}"
 )
+_SYNC_REQ_SIGNED = f"{_ID}{_NONCE}{_TS}"
+# SyncResp and SyncAck share one layout: id, two nonces, timestamp.
+_SYNC_REPLY_SIGNED = f"{_ID}{_NONCE}{_NONCE}{_TS}"
+
+_ANNOUNCEMENT = struct.Struct(f">{_ANNOUNCEMENT_SIGNED}{_SIG}")
+_ANNOUNCEMENT_PREIMAGE = struct.Struct(f">{_ID}{_ANNOUNCEMENT_SIGNED}")
+_SYNC_REQ = struct.Struct(f">{_SYNC_REQ_SIGNED}{_SIG}")
+_SYNC_REQ_PREIMAGE = struct.Struct(f">{_SYNC_REQ_SIGNED}")
+_SYNC_REPLY = struct.Struct(f">{_SYNC_REPLY_SIGNED}{_SIG}")
+_SYNC_REPLY_PREIMAGE = struct.Struct(f">{_SYNC_REPLY_SIGNED}")
+assert _ANNOUNCEMENT.size == ANNOUNCEMENT_LEN
+
+
+def _pack(layout: struct.Struct, *fields) -> bytes:
+    """Pack ``fields``, rejecting a bytes field that ``struct`` would pad or cut."""
+    out = layout.pack(*fields)
+    if layout.unpack(out) != fields:
+        raise ValueError(f"a field does not match its declared width in {layout.format!r}")
+    return out
+
 
 BEACON_FRAME_LEN = 240
 
@@ -107,7 +135,8 @@ class AnnouncementMsg:
 def encode_announcement(msg: AnnouncementMsg) -> bytes:
     """Serialize to exactly 116 bytes in declared field order."""
     msg.validate()
-    out = _ANNOUNCEMENT.pack(
+    return _pack(
+        _ANNOUNCEMENT,
         msg.nonce,
         msg.timestamp,
         msg.short_url.encode("ascii"),
@@ -115,8 +144,6 @@ def encode_announcement(msg: AnnouncementMsg) -> bytes:
         msg.att_timestamp,
         msg.signature,
     )
-    assert len(out) == ANNOUNCEMENT_LEN
-    return out
 
 
 def decode_announcement(data: bytes) -> AnnouncementMsg:
@@ -161,15 +188,14 @@ def announcement_preimage(
     The device identifier is signed but never transmitted in the announcement;
     receivers recover it from the manifest.
     """
-    return crypto.canonical_concat(
-        [
-            (device_id, DEVICE_ID_LEN),
-            (nonce, NONCE_LEN),
-            (struct.pack(">I", timestamp), TS_LEN),
-            (short_url.encode("ascii"), SHORT_URL_LEN),
-            (struct.pack(">B", att_result), ATT_RESULT_LEN),
-            (struct.pack(">I", att_timestamp), ATT_TS_LEN),
-        ]
+    return _pack(
+        _ANNOUNCEMENT_PREIMAGE,
+        device_id,
+        nonce,
+        timestamp,
+        short_url.encode("ascii"),
+        att_result,
+        att_timestamp,
     )
 
 
@@ -179,36 +205,15 @@ def sync_req_preimage(device_id: bytes, n_dev1: bytes, ts_prev: int) -> bytes:
     Signs ``ts_prev + 1`` while the request transmits ``ts_prev``; the shift
     keeps a replayed request from ever matching a later epoch.
     """
-    bumped = (ts_prev + 1) & TS_MAX
-    return crypto.canonical_concat(
-        [
-            (device_id, DEVICE_ID_LEN),
-            (n_dev1, NONCE_LEN),
-            (struct.pack(">I", bumped), TS_LEN),
-        ]
-    )
+    return _pack(_SYNC_REQ_PREIMAGE, device_id, n_dev1, (ts_prev + 1) & TS_MAX)
 
 
 def sync_resp_preimage(device_id: bytes, n_dev1: bytes, n_svr1: bytes, ts_cur: int) -> bytes:
-    return crypto.canonical_concat(
-        [
-            (device_id, DEVICE_ID_LEN),
-            (n_dev1, NONCE_LEN),
-            (n_svr1, NONCE_LEN),
-            (struct.pack(">I", ts_cur), TS_LEN),
-        ]
-    )
+    return _pack(_SYNC_REPLY_PREIMAGE, device_id, n_dev1, n_svr1, ts_cur)
 
 
 def sync_ack_preimage(device_id: bytes, n_dev2: bytes, n_svr1: bytes, ts_prev: int) -> bytes:
-    return crypto.canonical_concat(
-        [
-            (device_id, DEVICE_ID_LEN),
-            (n_dev2, NONCE_LEN),
-            (n_svr1, NONCE_LEN),
-            (struct.pack(">I", ts_prev), TS_LEN),
-        ]
-    )
+    return _pack(_SYNC_REPLY_PREIMAGE, device_id, n_dev2, n_svr1, ts_prev)
 
 
 # ---------------------------------------------------------------------------
@@ -253,58 +258,35 @@ class SyncParseError(ValueError):
     pass
 
 
+# Each message's fields, in declaration order, are its layout's fields.
+_SYNC_LAYOUTS = {
+    SyncReq: (SYNC_REQ_TAG, _SYNC_REQ),
+    SyncResp: (SYNC_RESP_TAG, _SYNC_REPLY),
+    SyncAck: (SYNC_ACK_TAG, _SYNC_REPLY),
+}
+_SYNC_BY_TAG = {tag: (cls, layout) for cls, (tag, layout) in _SYNC_LAYOUTS.items()}
+
+
 def encode_sync_message(msg: SyncMessage) -> bytes:
     """Frame a sync message as a 1-byte type tag plus fixed-width body."""
-    if isinstance(msg, SyncReq):
-        return (
-            bytes((SYNC_REQ_TAG,))
-            + msg.device_id
-            + msg.n_dev1
-            + struct.pack(">I", msg.ts_prev)
-            + msg.signature
-        )
-    if isinstance(msg, SyncResp):
-        return (
-            bytes((SYNC_RESP_TAG,))
-            + msg.device_id
-            + msg.n_dev1
-            + msg.n_svr1
-            + struct.pack(">I", msg.ts_cur)
-            + msg.signature
-        )
-    if isinstance(msg, SyncAck):
-        return (
-            bytes((SYNC_ACK_TAG,))
-            + msg.device_id
-            + msg.n_dev2
-            + msg.n_svr1
-            + struct.pack(">I", msg.ts_prev)
-            + msg.signature
-        )
-    raise TypeError(f"not a sync message: {type(msg)!r}")
-
-
-_SYNC_REQ = struct.Struct(f">{DEVICE_ID_LEN}s{NONCE_LEN}s{_UINT[TS_LEN]}{SIG_LEN}s")
-# SyncResp and SyncAck share one body layout: id, two nonces, timestamp, sig.
-_SYNC_RESP = struct.Struct(
-    f">{DEVICE_ID_LEN}s{NONCE_LEN}s{NONCE_LEN}s{_UINT[TS_LEN]}{SIG_LEN}s"
-)
+    try:
+        tag, layout = _SYNC_LAYOUTS[type(msg)]
+    except KeyError:
+        raise TypeError(f"not a sync message: {type(msg)!r}") from None
+    return bytes((tag,)) + _pack(layout, *vars(msg).values())
 
 
 def decode_sync_message(data: bytes) -> SyncMessage:
     if not data:
         raise SyncParseError("empty datagram")
-    tag, body_len = data[0], len(data) - 1
-    if tag == SYNC_REQ_TAG:
-        if body_len != _SYNC_REQ.size:
-            raise SyncParseError(f"sync request body must be {_SYNC_REQ.size} bytes")
-        return SyncReq(*_SYNC_REQ.unpack_from(data, 1))
-    if tag in (SYNC_RESP_TAG, SYNC_ACK_TAG):
-        if body_len != _SYNC_RESP.size:
-            raise SyncParseError(f"sync body must be {_SYNC_RESP.size} bytes")
-        cls = SyncResp if tag == SYNC_RESP_TAG else SyncAck
-        return cls(*_SYNC_RESP.unpack_from(data, 1))
-    raise SyncParseError(f"unknown sync message tag 0x{tag:02x}")
+    try:
+        cls, layout = _SYNC_BY_TAG[data[0]]
+    except KeyError:
+        raise SyncParseError(f"unknown sync message tag 0x{data[0]:02x}") from None
+    if len(data) - 1 != layout.size:
+        body = "sync request body" if cls is SyncReq else "sync body"
+        raise SyncParseError(f"{body} must be {layout.size} bytes")
+    return cls(*layout.unpack_from(data, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +384,3 @@ def decode_beacon(frame: bytes) -> BeaconDecode:
         return BeaconDecode(BeaconVerdict.MALFORMED_PAYLOAD)
     return BeaconDecode(BeaconVerdict.OK, msg=msg, source_mac=source_mac)
 
-
-def hexdump(data: bytes, width: int = 16) -> str:
-    """Render bytes as an offset/hex/ASCII dump for CLI debugging."""
-    lines = []
-    for off in range(0, len(data), width):
-        chunk = data[off : off + width]
-        hexpart = " ".join(f"{b:02x}" for b in chunk)
-        asciipart = "".join(chr(b) if 32 <= b < 127 else "." for b in chunk)
-        lines.append(f"{off:04x}  {hexpart:<{width * 3}} {asciipart}")
-    return "\n".join(lines)

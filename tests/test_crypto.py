@@ -128,32 +128,6 @@ def test_verify_survives_garbage_without_raising():
     assert crypto.verify(b"", digest, b"\x01" * 64) is False
 
 
-def test_canonical_concat_basic_layout():
-    out = crypto.canonical_concat([(b"\x00\x00\x00\x01", 4), (b"\x00" * 32, 32)])
-    assert out == b"\x00\x00\x00\x01" + b"\x00" * 32
-    assert len(out) == 36
-
-
-def test_canonical_concat_rejects_wrong_width():
-    with pytest.raises(ValueError):
-        crypto.canonical_concat([(b"\x01\x02", 4)])
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(min_value=1, max_value=16)).map(lambda t: t[0]),
-        min_size=1,
-        max_size=6,
-    ),
-    st.randoms(use_true_random=False),
-)
-def test_canonical_concat_injective_for_fixed_widths(widths, rnd):
-    a = [(bytes(rnd.randrange(256) for _ in range(w)), w) for w in widths]
-    b = [(bytes(rnd.randrange(256) for _ in range(w)), w) for w in widths]
-    if crypto.canonical_concat(a) == crypto.canonical_concat(b):
-        assert [v for v, _ in a] == [v for v, _ in b]
-
-
 def test_keypair_file_roundtrip(tmp_path):
     keys = crypto.generate_keypair(SEED)
     path = str(tmp_path / "dev.key")

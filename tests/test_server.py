@@ -29,7 +29,8 @@ def test_served_manifest_bytes_verify(rig):
     data = rig["server"].serve_manifest("/manifests/rig.json")
     assert data is not None
     man = manifest_from_json(data)
-    assert verify_manifest(man, expected_mfr_pk=rig["server"].keys.public_key)
+    assert verify_manifest(man)
+    assert man.manufacturer_public_key == rig["server"].keys.public_key
 
 
 def test_serve_unknown_path_returns_none(rig):

@@ -191,6 +191,55 @@ def test_sync_message_rejects_garbage():
         wire.decode_sync_message(b"\x01" + b"\x00" * 10)
 
 
-def test_hexdump_renders():
-    out = wire.hexdump(b"PAISA\x00\x01")
-    assert "PAISA" in out and "50 41 49 53 41" in out
+ID = st.binary(min_size=16, max_size=16)
+NONCE = st.binary(min_size=32, max_size=32)
+SIG = st.binary(min_size=64, max_size=64)
+TS = st.integers(min_value=0, max_value=wire.TS_MAX)
+SHORT_URL = st.text(alphabet="0123456789ABCDEFabcdef", min_size=11, max_size=11)
+SYNC_FIELDS = {
+    wire.SyncReq: [ID, NONCE, TS, SIG],
+    wire.SyncResp: [ID, NONCE, NONCE, TS, SIG],
+    wire.SyncAck: [ID, NONCE, NONCE, TS, SIG],
+}
+# Every signed layout: what packs it, and a strategy per field.
+SIGNED_LAYOUTS = {
+    "announcement_preimage": (
+        wire.announcement_preimage, [ID, NONCE, TS, SHORT_URL, st.integers(0, 1), TS]
+    ),
+    "sync_req_preimage": (wire.sync_req_preimage, [ID, NONCE, TS]),
+    "sync_resp_preimage": (wire.sync_resp_preimage, [ID, NONCE, NONCE, TS]),
+    "sync_ack_preimage": (wire.sync_ack_preimage, [ID, NONCE, NONCE, TS]),
+    **{
+        cls.__name__: (lambda *f, cls=cls: wire.encode_sync_message(cls(*f)), fields)
+        for cls, fields in SYNC_FIELDS.items()
+    },
+}
+
+
+@pytest.mark.parametrize("layout", SIGNED_LAYOUTS)
+@given(data=st.data())
+def test_signed_layout_rejects_a_field_one_byte_off(layout, data):
+    pack, strategies = SIGNED_LAYOUTS[layout]
+    fields = data.draw(st.tuples(*strategies))
+    i = data.draw(st.sampled_from([i for i, v in enumerate(fields) if not isinstance(v, int)]))
+    v = fields[i]
+    wrong = data.draw(st.sampled_from([v[:-1], v + v[:1]]))
+    with pytest.raises(ValueError):
+        pack(*fields[:i], wrong, *fields[i + 1 :])
+
+
+@pytest.mark.parametrize("layout", SIGNED_LAYOUTS)
+@given(data=st.data())
+def test_signed_layout_is_injective(layout, data):
+    pack, strategies = SIGNED_LAYOUTS[layout]
+    fields = data.draw(st.tuples(*strategies))
+    i = data.draw(st.integers(0, len(fields) - 1))
+    other = (*fields[:i], data.draw(strategies[i]), *fields[i + 1 :])
+    assert (pack(*fields) == pack(*other)) == (fields == other)
+
+
+@pytest.mark.parametrize("cls", SYNC_FIELDS, ids=lambda c: c.__name__)
+@given(data=st.data())
+def test_sync_message_roundtrips_for_random_fields(cls, data):
+    msg = cls(*data.draw(st.tuples(*SYNC_FIELDS[cls])))
+    assert wire.decode_sync_message(wire.encode_sync_message(msg)) == msg
