@@ -156,8 +156,9 @@ def cmd_server(args: argparse.Namespace) -> int:
 
 
 def cmd_device(args: argparse.Namespace) -> int:
-    """Live device: sync over UDP, save the synced state back to the config
-    file, then write announcements to a pcap file."""
+    """Live device: sync over UDP (the device sets how many SyncReqs to send
+    and how long to wait for each reply), save the synced state back to the
+    config file, then write announcements to a pcap file."""
     try:
         with open(args.config, "r", encoding="utf-8") as f, open(args.image, "rb") as img:
             dev = Device.from_state(json.load(f), img.read())
@@ -167,9 +168,9 @@ def cmd_device(args: argparse.Namespace) -> int:
 
     server = _address(args.server)
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
-        sock.settimeout(args.timeout)
 
-        def recv() -> Optional[bytes]:
+        def recv(timeout: int) -> Optional[bytes]:
+            sock.settimeout(timeout)
             try:
                 return sock.recvfrom(4096)[0]
             except socket.timeout:
@@ -237,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True, help="software image to load into program memory")
     p.add_argument("--pcap", required=True, help="write announcements here")
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--timeout", type=float, default=2.0)
     p.set_defaults(func=cmd_device)
 
     return parser

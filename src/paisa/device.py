@@ -1,6 +1,12 @@
 """The IoT-device state machine: trusted state installed at provisioning,
 boot-time time sync, periodic local attestation, and scheduled announcements.
 
+The device owns the time-sync retry policy: ``next_sync_attempt`` hands out
+each SyncReq with the seconds to wait for its reply, up to
+``MAX_SYNC_ATTEMPTS`` requests with the wait doubling from
+``SYNC_TIMEOUT_BASE``. Its drivers (``boot``, the simulator and
+``paisa device``) only move bytes and keep time.
+
 The trusted state and private key live behind this class boundary and are
 never reachable from the normal software or from network input, emulating the
 TEE isolation contract. Compromise is modeled as mutation access to
@@ -10,26 +16,20 @@ TEE isolation contract. Compromise is modeled as mutation access to
 from __future__ import annotations
 
 import hashlib
-import os
+import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from . import crypto, wire
 
 ATTEST_CHUNK_SIZE = 4096
 
 MAX_SYNC_ATTEMPTS = 5
+SYNC_TIMEOUT_BASE = 2  # seconds to wait for the first SyncResp; doubles per attempt
 
 
 class DeviceError(RuntimeError):
     pass
-
-
-class SystemNonceSource:
-    """Default nonce source backed by the OS CSPRNG."""
-
-    def randbytes(self, n: int) -> bytes:
-        return os.urandom(n)
 
 
 @dataclass
@@ -89,11 +89,13 @@ class Device:
     """One announcement-capable device driven by a one-second virtual timer."""
 
     def __init__(self, nonce_source=None) -> None:
-        self._nonces = nonce_source if nonce_source is not None else SystemNonceSource()
+        # Anything with ``randbytes(n)``; SystemRandom's reads os.urandom.
+        self._nonces = nonce_source if nonce_source is not None else random.SystemRandom()
         self.trusted: Optional[TrustedState] = None
         self.software: Optional[NormalSoftware] = None
         self.clock = DeviceClock()
         self.synced = False
+        self.sync_attempts = 0
         self._pending_sync_nonce: Optional[bytes] = None
         self._last_report: Optional[AttReport] = None
 
@@ -136,6 +138,8 @@ class Device:
     def _install(self, state: TrustedState, sw_dev: bytes) -> None:
         if len(state.device_id) != wire.DEVICE_ID_LEN:
             raise DeviceError("device_id must be 16 bytes")
+        if not 0 <= state.ts_prev <= wire.TS_MAX:
+            raise DeviceError("ts_prev must fit the 4-byte timestamp field")
         self.software = NormalSoftware(program_memory=bytearray(sw_dev))
         self.trusted = state
 
@@ -207,6 +211,16 @@ class Device:
             device_id=st.device_id, n_dev1=n_dev1, ts_prev=st.ts_prev, signature=sig
         )
 
+    def next_sync_attempt(self) -> Optional[Tuple[bytes, int]]:
+        """The next encoded SyncReq and the seconds to wait for its reply, or
+        None once the device is synced or has sent ``MAX_SYNC_ATTEMPTS``."""
+        if self.synced or self.sync_attempts >= MAX_SYNC_ATTEMPTS:
+            return None
+        payload = wire.encode_sync_message(self.make_sync_req())
+        wait = SYNC_TIMEOUT_BASE << self.sync_attempts
+        self.sync_attempts += 1
+        return payload, wait
+
     def handle_sync_resp(self, resp: wire.SyncResp) -> Optional[wire.SyncAck]:
         """Validate a response; returns the ack on success, None to retry.
 
@@ -253,15 +267,17 @@ class Device:
         return None if ack is None else wire.encode_sync_message(ack)
 
     def boot(
-        self, send: Callable[[bytes], None], recv: Callable[[], Optional[bytes]]
+        self, send: Callable[[bytes], None], recv: Callable[[int], Optional[bytes]]
     ) -> List[bytes]:
         """Blocking boot: time sync over a datagram link, then the first
-        announcement; an unsynced device emits nothing. Each of up to
-        ``MAX_SYNC_ATTEMPTS`` attempts sends a SyncReq and reads one reply
-        (None: none in time); a valid SyncResp is acknowledged."""
-        for _ in range(MAX_SYNC_ATTEMPTS):
-            send(wire.encode_sync_message(self.make_sync_req()))
-            data = recv()
+        announcement; an unsynced device emits nothing. Each attempt from
+        ``next_sync_attempt`` sends a SyncReq and reads one reply with
+        ``recv(seconds)`` (None: none in time); any reply but a valid
+        SyncResp uses up the attempt, and a valid one is acknowledged."""
+        while (attempt := self.next_sync_attempt()) is not None:
+            payload, wait = attempt
+            send(payload)
+            data = recv(wait)
             try:
                 ack = None if data is None else self.handle_sync_datagram(data)
             except wire.SyncParseError:
@@ -278,7 +294,7 @@ class Device:
         reference; stores and returns the report."""
         st = self._require_provisioned()
         assert self.software is not None
-        measured = crypto.hash_chunked(bytes(self.software.program_memory), ATTEST_CHUNK_SIZE)
+        measured = crypto.hash_chunked(self.software.program_memory, ATTEST_CHUNK_SIZE)
         result = 1 if measured == st.sw_hash_expected else 0
         report = AttReport(att_result=result, att_timestamp=self.clock.now)
         self._last_report = report

@@ -150,15 +150,8 @@ class PresenceReport:
             "duplicate": self.duplicate,
         }
         if self.manifest is not None:
-            doc["manifest"] = {
-                "device_type_model": self.manifest.device_type_model,
-                "manufacturer": self.manifest.manufacturer,
-                "sensors": list(self.manifest.sensors),
-                "actuators": list(self.manifest.actuators),
-                "deployment_purpose": self.manifest.deployment_purpose,
-                "deployment_location": self.manifest.deployment_location,
-                "status": self.manifest.status,
-            }
+            # vars(), not asdict(): the same JSON without a ~15 us deep copy.
+            doc["manifest"] = vars(self.manifest)
         return json.dumps(doc, sort_keys=True)
 
 

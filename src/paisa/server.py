@@ -24,13 +24,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from . import crypto, wire
-from .device import ATTEST_CHUNK_SIZE, Device, SystemNonceSource, TimerConfig
+from .device import ATTEST_CHUNK_SIZE, Device, TimerConfig
 from .manifest import (
     Manifest,
     ShortUrlRegistry,
@@ -119,7 +120,7 @@ class ManufacturerServer:
         self.keys = keys
         self.store_path = store_path
         self.session_ttl = session_ttl
-        self._nonces = nonce_source if nonce_source is not None else SystemNonceSource()
+        self._nonces = nonce_source if nonce_source is not None else random.SystemRandom()
         self.records: Dict[bytes, DeviceRecord] = {}
         self.manifests: Dict[str, bytes] = {}
         self.registry = ShortUrlRegistry()

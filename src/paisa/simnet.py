@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from . import crypto, wire
-from .device import MAX_SYNC_ATTEMPTS, Device, TimerConfig
+from .device import Device, TimerConfig
 from .receiver import (
     PresenceReport,
     Receiver,
@@ -31,19 +31,9 @@ from .server import DeviceDescription, ManufacturerServer
 
 LINKS = ("device->server", "server->device", "device->receiver")
 
-SYNC_TIMEOUT_BASE = 2  # seconds to wait for a response; doubles per retry
-
 
 class ScenarioError(ValueError):
     """Scenario rejected at load time; the message names the offending key."""
-
-
-class _SeededNonceSource:
-    def __init__(self, rng: random.Random):
-        self._rng = rng
-
-    def randbytes(self, n: int) -> bytes:
-        return self._rng.randbytes(n)
 
 
 class VirtualClock:
@@ -310,15 +300,14 @@ class Simulation:
         self.beacon_frames: List[Tuple[int, bytes]] = []
         self._send_seq = 0
 
-        nonces = _SeededNonceSource(self.rng)
         mfr_keys = crypto.generate_keypair(self.rng.randbytes(32))
-        self.server = ManufacturerServer(mfr_keys, nonce_source=nonces)
+        self.server = ManufacturerServer(mfr_keys, nonce_source=self.rng)
 
         self.devices: Dict[str, Device] = {}
         self._name_by_id: Dict[str, str] = {}
         self._sw_original: Dict[str, bytes] = {}
         for spec in scenario.devices:
-            dev = Device(nonce_source=nonces)
+            dev = Device(nonce_source=self.rng)
             sw = self.rng.randbytes(spec.sw_size)
             device_id = hashlib.sha256(b"paisa-device:" + spec.name.encode()).digest()[:16]
             self.server.register_device(
@@ -415,19 +404,20 @@ class Simulation:
 
     # -- sync flow -----------------------------------------------------------
 
-    def _boot(self, name: str, attempt: int) -> None:
+    def _boot(self, name: str) -> None:
+        """Send the device's next SyncReq and come back when its wait is over."""
         dev = self.devices[name]
-        if dev.synced:
-            return
-        if attempt >= MAX_SYNC_ATTEMPTS:
-            self._log("sync_failed", device=name, attempts=attempt)
+        attempt = dev.sync_attempts
+        step = dev.next_sync_attempt()
+        if step is None:
+            if not dev.synced:
+                self._log("sync_failed", device=name, attempts=attempt)
             return
         self._log("sync_attempt", device=name, attempt=attempt)
-        payload = wire.encode_sync_message(dev.make_sync_req())
+        payload, wait = step
         self._maybe_capture_sync(name, "sync_req", payload)
         self._send_to_server(name, "sync_req", payload)
-        timeout = SYNC_TIMEOUT_BASE * (2 ** attempt)
-        self.clock.schedule(self.clock.now + timeout, lambda: self._boot(name, attempt + 1))
+        self.clock.schedule(self.clock.now + wait, lambda: self._boot(name))
 
     def _maybe_capture_sync(self, name: str, kind: str, payload: bytes) -> None:
         for directive in self.scenario.adversary.replay_sync:
@@ -497,14 +487,20 @@ class Simulation:
             self.beacon_frames.append((self.clock.now, frame))
             self._log("announce", device=name, ts=self.devices[name].clock.now)
             self._maybe_capture_beacon(name, frame)
-            for idx, rcv in enumerate(self.receivers):
-                self._send(
-                    "device->receiver",
-                    name,
-                    "beacon",
-                    frame,
-                    lambda data, idx=idx: self._receiver_on_frame(idx, data, replayed=False),
-                )
+            self._send_to_receivers(name, frame)
+
+    def _send_to_receivers(
+        self, name: Optional[str], frame: bytes, replayed: bool = False
+    ) -> None:
+        for idx in range(len(self.receivers)):
+            self._send(
+                "device->receiver",
+                name,
+                "beacon",
+                frame,
+                lambda data, idx=idx: self._receiver_on_frame(idx, data, replayed),
+                replayed=replayed,
+            )
 
     def _maybe_capture_beacon(self, name: str, frame: bytes) -> None:
         for directive in self.scenario.adversary.replay:
@@ -528,15 +524,7 @@ class Simulation:
     def inject_replay(self, frame: bytes, device: Optional[str] = None) -> None:
         """Re-deliver captured frame bytes verbatim to every receiver, now."""
         self._log("replay_inject", device=device)
-        for idx, rcv in enumerate(self.receivers):
-            self._send(
-                "device->receiver",
-                device,
-                "beacon",
-                frame,
-                lambda data, idx=idx: self._receiver_on_frame(idx, data, replayed=True),
-                replayed=True,
-            )
+        self._send_to_receivers(device, frame, replayed=True)
 
     def _receiver_on_frame(self, idx: int, data: bytes, replayed: bool) -> None:
         result = self.receivers[idx].process_frame(data)
@@ -591,7 +579,7 @@ class Simulation:
 
     def run(self) -> SimResult:
         for spec in self.scenario.devices:
-            self.clock.schedule(spec.boot_at, lambda n=spec.name: self._boot(n, 0))
+            self.clock.schedule(spec.boot_at, lambda n=spec.name: self._boot(n))
         self._schedule_compromises()
         self.clock.run_until(self.scenario.horizon)
         return SimResult(log=self.log, beacon_frames=self.beacon_frames)

@@ -179,7 +179,6 @@ def test_live_server_device_scan_end_to_end(tmp_path, capsys):
         rc = main([
             "device", "--config", config, "--server", f"127.0.0.1:{port}",
             "--image", str(tmp_path / "fw.bin"), "--pcap", pcap, "--count", "3",
-            "--timeout", "0.5",
         ])
         server.join(timeout=10)
         assert not server.is_alive()

@@ -196,7 +196,7 @@ def link_to(server, now, lose=()):
     def send(data):
         outcomes.append(server.handle_datagram(data, now))
 
-    def recv():
+    def recv(timeout):
         return None if len(outcomes) in lose else outcomes[-1].reply
 
     return send, recv, outcomes
@@ -216,8 +216,8 @@ def test_boot_drops_garbage_and_unexpected_replies(rig):
     dev, server = rig["device"], rig["server"]
     send, link_recv, outcomes = link_to(server, now=70)
 
-    def recv():
-        reply = link_recv()
+    def recv(timeout):
+        reply = link_recv(timeout)
         if len(outcomes) == 1:
             return b"\x02garbage"
         if len(outcomes) == 2:
@@ -240,9 +240,17 @@ def test_boot_unreachable_server_stays_silent():
         ts_cur=0,
         timer_config=TimerConfig(10, 10),
     )
-    sent = []
-    assert dev.boot(sent.append, lambda: None) == []
+    sent, waits = [], []
+
+    def recv(timeout):
+        waits.append(timeout)
+        return None
+
+    assert dev.boot(sent.append, recv) == []
     assert len(sent) == MAX_SYNC_ATTEMPTS
+    assert waits == [2, 4, 8, 16, 32]
+    assert dev.sync_attempts == MAX_SYNC_ATTEMPTS
+    assert dev.next_sync_attempt() is None
     assert not dev.synced
     assert dev.tick() == []
 
@@ -285,6 +293,8 @@ DROP = object()
         {"private_key": f"{crypto.CURVE_ORDER:064x}"},  # scalar n
         {"ts_prev": "0"},
         {"ts_prev": True},
+        {"ts_prev": 2**32},  # wider than the 4-byte wire field
+        {"ts_prev": -1},
         {"t_announce": 0},
         {"t_attest": 25},  # not a multiple of t_announce
         {"t_announce": 10.0},

@@ -88,6 +88,19 @@ def test_honest_frame_verified(rig):
     assert not rep.duplicate
 
 
+def test_verified_report_json(rig):
+    frame = synced_frame(rig, now=1000)
+    receiver, _, _ = make_receiver(rig, now=1003)
+    assert receiver.process_frame(frame).to_json() == (
+        '{"announcement_timestamp": 1000, "att_result": 1, "att_timestamp": 1000, '
+        '"device_id": "07070707070707070707070707070707", "duplicate": false, '
+        '"manifest": {"actuators": [], "deployment_location": "unspecified", '
+        '"deployment_purpose": "unspecified", "device_type_model": "rig-device", '
+        '"manufacturer": "Example Manufacturer", "sensors": [], "status": "active"}, '
+        '"received_at": 1003, "verdict": "verified"}'
+    )
+
+
 def test_non_paisa_frame_returns_decode(rig):
     receiver, _, _ = make_receiver(rig)
     out = receiver.process_frame(b"\x00" * 50)

@@ -133,6 +133,19 @@ def test_partial_drop_on_sync_link_retries_to_success():
     assert commits and not commits[0]["replayed"]
 
 
+def test_unreachable_server_gives_up_on_the_device_schedule():
+    doc = base_doc(
+        horizon=100,
+        adversary={"drop": [{"link": "server->device", "probability": 1.0}]},
+    )
+    result = simnet.run_scenario(doc)
+    attempts = [(e["t"], e["attempt"]) for e in result.log if e["event"] == "sync_attempt"]
+    assert attempts == [(0, 0), (2, 1), (6, 2), (14, 3), (30, 4)]
+    failed = [e for e in result.log if e["event"] == "sync_failed"]
+    assert failed == [{"t": 62, "event": "sync_failed", "device": "a", "attempts": 5}]
+    assert not any(e["event"] == "announce" for e in result.log)
+
+
 def test_timesync_replay_rejected_without_state_change():
     result = simnet.run_scenario(str(SCENARIOS / "timesync_drop.json"))
     committed_ts = [e["latest_ts"] for e in result.log if e["event"] == "sync_commit"]
