@@ -1,9 +1,12 @@
 """The manufacturer-signed device description document and the local
 short-URL registry that stands in for an external URL-shortening service.
 
-Manifests travel as JSON with hex-encoded binary fields. The manufacturer
-signature covers a canonical binary serialization of the payload fields, not
-the JSON text, so whitespace or key ordering can never break verification.
+The ``Manifest`` dataclass is the manifest's one declaration: the signed
+bytes and the JSON codec walk its payload fields in order, one rule per kind.
+A ``bytes`` field has its declared width and is JSON hex, a ``str`` a JSON
+string, a ``Tuple[str, ...]`` a JSON list of strings; any other JSON type is
+malformed. The signature covers the canonical bytes, not the JSON text, so
+whitespace or key order never breaks verification.
 """
 
 from __future__ import annotations
@@ -12,11 +15,11 @@ import hashlib
 import json
 import string
 import struct
-from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import Any, Dict, Optional, Tuple
 
 from . import crypto
-from .wire import SHORT_URL_LEN
+from .wire import DEVICE_ID_LEN, SHORT_URL_LEN
 
 STATUS_ACTIVE = "active"
 STATUS_REVOKED = "revoked"
@@ -28,9 +31,13 @@ class ManifestError(ValueError):
     pass
 
 
+def _width(n: int) -> Any:
+    return field(metadata={"width": n})
+
+
 @dataclass(frozen=True)
 class Manifest:
-    device_id: bytes                 # 16 bytes
+    device_id: bytes = _width(DEVICE_ID_LEN)
     device_type_model: str
     manufacturer: str
     manufacture_date_location: str
@@ -40,10 +47,11 @@ class Manifest:
     network_interfaces: Tuple[str, ...]
     owner_id: str
     deployment_location: str
-    sw_hash: bytes                   # 32 bytes
-    device_public_key: bytes         # 64 bytes
+    sw_hash: bytes = _width(crypto.DIGEST_LEN)
+    device_public_key: bytes = _width(crypto.PUBLIC_KEY_LEN)
     full_url: str
     status: str
+    # Attached by sign_manifest; not part of the signed payload.
     manufacturer_public_key: Optional[bytes] = None
     manifest_signature: Optional[bytes] = None
 
@@ -54,45 +62,52 @@ def _lp_str(s: str) -> bytes:
 
 
 def _lp_list(items: Tuple[str, ...]) -> bytes:
-    out = struct.pack(">I", len(items))
-    for item in items:
-        out += _lp_str(item)
-    return out
+    return struct.pack(">I", len(items)) + b"".join([_lp_str(item) for item in items])
+
+
+def _json_str(value: Any) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _json_strs(value: Any) -> Tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise TypeError(f"expected a list of strings, got {type(value).__name__}")
+    return tuple(value)
+
+
+# Per annotated kind: the canonical encoder, the JSON encoder and the JSON
+# decoder (TypeError or ValueError on a value of the wrong JSON type).
+_KINDS = {
+    "bytes": (bytes, bytes.hex, bytes.fromhex),
+    "str": (_lp_str, str, _json_str),
+    "Tuple[str, ...]": (_lp_list, list, _json_strs),
+}
+# (name, width or None, *kind) of each payload field, in signed order.
+_PAYLOAD = tuple(
+    (f.name, f.metadata.get("width"), *_KINDS[f.type])
+    for f in fields(Manifest)
+    if f.default is MISSING
+)
+_ATTACHED = tuple(f.name for f in fields(Manifest) if f.default is not MISSING)
 
 
 def canonicalize(manifest: Manifest) -> bytes:
-    """Deterministic byte serialization of the signed payload.
-
-    Fields appear in declared order; strings are UTF-8 with a 4-byte length
-    prefix, lists carry a 4-byte count. The embedded manufacturer key and the
-    signature itself are excluded.
-    """
-    if len(manifest.device_id) != 16:
-        raise ManifestError("device_id must be 16 bytes")
-    if len(manifest.sw_hash) != 32:
-        raise ManifestError("sw_hash must be 32 bytes")
-    if len(manifest.device_public_key) != 64:
-        raise ManifestError("device_public_key must be 64 bytes")
+    """Deterministic byte serialization of the signed payload: each payload
+    field in declared order, encoded by its kind."""
     if manifest.status not in (STATUS_ACTIVE, STATUS_REVOKED):
         raise ManifestError(f"unknown status {manifest.status!r}")
-    return b"".join(
-        [
-            manifest.device_id,
-            _lp_str(manifest.device_type_model),
-            _lp_str(manifest.manufacturer),
-            _lp_str(manifest.manufacture_date_location),
-            _lp_list(manifest.sensors),
-            _lp_list(manifest.actuators),
-            _lp_str(manifest.deployment_purpose),
-            _lp_list(manifest.network_interfaces),
-            _lp_str(manifest.owner_id),
-            _lp_str(manifest.deployment_location),
-            manifest.sw_hash,
-            manifest.device_public_key,
-            _lp_str(manifest.full_url),
-            _lp_str(manifest.status),
-        ]
-    )
+    parts = []
+    for name, width, canonical, _, _ in _PAYLOAD:
+        value = getattr(manifest, name)
+        if width is not None and len(value) != width:
+            raise ManifestError(f"{name} must be {width} bytes")
+        try:
+            parts.append(canonical(value))
+        except UnicodeEncodeError as exc:
+            raise ManifestError(f"{name} is not encodable as UTF-8: {exc}") from exc
+    return b"".join(parts)
 
 
 def sign_manifest(manifest: Manifest, mfr_keys: crypto.KeyPair) -> Manifest:
@@ -119,58 +134,22 @@ def verify_manifest(manifest: Manifest) -> bool:
 
 
 def manifest_to_json(manifest: Manifest) -> bytes:
-    doc = {
-        "device_id": manifest.device_id.hex(),
-        "device_type_model": manifest.device_type_model,
-        "manufacturer": manifest.manufacturer,
-        "manufacture_date_location": manifest.manufacture_date_location,
-        "sensors": list(manifest.sensors),
-        "actuators": list(manifest.actuators),
-        "deployment_purpose": manifest.deployment_purpose,
-        "network_interfaces": list(manifest.network_interfaces),
-        "owner_id": manifest.owner_id,
-        "deployment_location": manifest.deployment_location,
-        "sw_hash": manifest.sw_hash.hex(),
-        "device_public_key": manifest.device_public_key.hex(),
-        "full_url": manifest.full_url,
-        "status": manifest.status,
-    }
-    if manifest.manufacturer_public_key is not None:
-        doc["manufacturer_public_key"] = manifest.manufacturer_public_key.hex()
-    if manifest.manifest_signature is not None:
-        doc["manifest_signature"] = manifest.manifest_signature.hex()
+    doc = {name: to_json(getattr(manifest, name)) for name, _, _, to_json, _ in _PAYLOAD}
+    for name in _ATTACHED:
+        value = getattr(manifest, name)
+        if value is not None:
+            doc[name] = value.hex()
     return json.dumps(doc, indent=2, sort_keys=True).encode("utf-8")
 
 
 def manifest_from_json(data: bytes) -> Manifest:
     try:
         doc = json.loads(data)
-        return Manifest(
-            device_id=bytes.fromhex(doc["device_id"]),
-            device_type_model=doc["device_type_model"],
-            manufacturer=doc["manufacturer"],
-            manufacture_date_location=doc["manufacture_date_location"],
-            sensors=tuple(doc["sensors"]),
-            actuators=tuple(doc["actuators"]),
-            deployment_purpose=doc["deployment_purpose"],
-            network_interfaces=tuple(doc["network_interfaces"]),
-            owner_id=doc["owner_id"],
-            deployment_location=doc["deployment_location"],
-            sw_hash=bytes.fromhex(doc["sw_hash"]),
-            device_public_key=bytes.fromhex(doc["device_public_key"]),
-            full_url=doc["full_url"],
-            status=doc["status"],
-            manufacturer_public_key=(
-                bytes.fromhex(doc["manufacturer_public_key"])
-                if "manufacturer_public_key" in doc
-                else None
-            ),
-            manifest_signature=(
-                bytes.fromhex(doc["manifest_signature"])
-                if "manifest_signature" in doc
-                else None
-            ),
-        )
+        values = {name: from_json(doc[name]) for name, _, _, _, from_json in _PAYLOAD}
+        for name in _ATTACHED:
+            if name in doc:
+                values[name] = bytes.fromhex(doc[name])
+        return Manifest(**values)
     except (KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"malformed manifest document: {exc}") from exc
 

@@ -4,10 +4,11 @@ retrieval, signature verification, and structured presence reports.
 Stages run in a fixed order and the first failure decides the verdict; later
 stages are skipped, so e.g. a stale frame never triggers a manifest fetch.
 
-Each distinct manifest is parsed and its manufacturer signature verified once
-per receiver; a change of the manifest bytes (a re-sign or a revocation) is
-seen within one fetch TTL. Pinning, the URL binding, the revocation status and
-the announcement signature are still checked on every frame.
+Each distinct manifest is parsed, its manufacturer signature verified and its
+report summary built once per receiver; a change of the manifest bytes (a
+re-sign or a revocation) is seen within one fetch TTL. Pinning, the URL
+binding, the revocation status and the announcement signature are still
+checked on every frame.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from . import crypto, wire
 from .manifest import (
@@ -57,16 +58,6 @@ class FetchError(Exception):
 class FetchResult:
     resolved_url: str
     manifest_bytes: bytes
-
-
-@dataclass(frozen=True)
-class _CachedManifest:
-    """One fetch of a short URL plus the parse-and-verify outcome of its bytes."""
-
-    fetched_at: int
-    fetched: FetchResult
-    manifest: Optional[Manifest]  # None when the bytes are malformed
-    signature_ok: bool
 
 
 class RegistryFetcher:
@@ -128,6 +119,29 @@ class ManifestSummary:
     status: str
 
 
+class _CachedManifest(NamedTuple):
+    """One fetch of a short URL plus, once per distinct bytes, the parse, the
+    signature outcome and the report's hex device id and summary."""
+
+    fetched_at: int
+    fetched: FetchResult
+    manifest: Optional[Manifest]
+    signature_ok: bool = False
+    device_id: Optional[str] = None
+    summary: Optional[ManifestSummary] = None
+
+
+def _parse_manifest(fetched_at: int, fetched: FetchResult) -> _CachedManifest:
+    try:
+        man = manifest_from_json(fetched.manifest_bytes)
+    except ManifestError:
+        return _CachedManifest(fetched_at, fetched, None)
+    summary = ManifestSummary(**{f.name: getattr(man, f.name) for f in fields(ManifestSummary)})
+    return _CachedManifest(
+        fetched_at, fetched, man, verify_manifest(man), man.device_id.hex(), summary
+    )
+
+
 @dataclass(frozen=True)
 class PresenceReport:
     verdict: Verdict
@@ -172,8 +186,8 @@ class Receiver:
     def _fetch_manifest(self, short_url: str, now: int) -> _CachedManifest:
         """The manifest for ``short_url``, refetched once ``epsilon`` old.
 
-        A refetch that returns the same bytes keeps the earlier parse and
-        signature outcome; new bytes are parsed and verified again.
+        A refetch that returns the same bytes keeps the earlier parse,
+        signature outcome and summary; new bytes are parsed and verified again.
         """
         with self._lock:
             cached = self._manifest_cache.get(short_url)
@@ -181,14 +195,9 @@ class Receiver:
             return cached
         fetched = self.cfg.manifest_fetcher.fetch(short_url)
         if cached is not None and cached.fetched.manifest_bytes == fetched.manifest_bytes:
-            man, signature_ok = cached.manifest, cached.signature_ok
+            entry = cached._replace(fetched_at=now, fetched=fetched)
         else:
-            try:
-                man = manifest_from_json(fetched.manifest_bytes)
-            except ManifestError:
-                man = None
-            signature_ok = man is not None and verify_manifest(man)
-        entry = _CachedManifest(now, fetched, man, signature_ok)
+            entry = _parse_manifest(now, fetched)
         with self._lock:
             self._manifest_cache[short_url] = entry
         return entry
@@ -219,28 +228,15 @@ class Receiver:
         now = self.clock()
         duplicate = self._is_duplicate(msg.signature, now)
 
-        def report(verdict: Verdict, man: Optional[Manifest] = None) -> PresenceReport:
-            summary = None
-            device_id = None
-            if man is not None:
-                summary = ManifestSummary(
-                    device_type_model=man.device_type_model,
-                    manufacturer=man.manufacturer,
-                    sensors=man.sensors,
-                    actuators=man.actuators,
-                    deployment_purpose=man.deployment_purpose,
-                    deployment_location=man.deployment_location,
-                    status=man.status,
-                )
-                device_id = man.device_id.hex()
+        def report(verdict: Verdict, cached: Optional[_CachedManifest] = None) -> PresenceReport:
             return PresenceReport(
                 verdict=verdict,
                 received_at=now,
                 announcement_timestamp=msg.timestamp,
                 att_result=msg.att_result,
                 att_timestamp=msg.att_timestamp,
-                device_id=device_id,
-                manifest=summary,
+                device_id=cached and cached.device_id,
+                manifest=cached and cached.summary,
                 duplicate=duplicate,
             )
 
@@ -254,20 +250,23 @@ class Receiver:
             cached = self._fetch_manifest(msg.short_url, now)
         except FetchError:
             return report(Verdict.FETCH_ERROR)
+        return report(self._verdict(cached, msg), cached)
+
+    def _verdict(self, cached: _CachedManifest, msg: wire.AnnouncementMsg) -> Verdict:
+        """The manifest stages, then the announcement signature under the device
+        key the manifest vouches for; pinning per frame, as the pinned set may change."""
         man = cached.manifest
-        if man is None:
-            return report(Verdict.BAD_MANIFEST_SIGNATURE)
-
-        pinned_ok = True
-        if self.cfg.pinned_mfr_keys is not None:
-            pinned_ok = man.manufacturer_public_key in self.cfg.pinned_mfr_keys
-        if not pinned_ok or not cached.signature_ok:
-            return report(Verdict.BAD_MANIFEST_SIGNATURE, man)
+        pinned = self.cfg.pinned_mfr_keys
+        if (
+            man is None
+            or not cached.signature_ok
+            or (pinned is not None and man.manufacturer_public_key not in pinned)
+        ):
+            return Verdict.BAD_MANIFEST_SIGNATURE
         if cached.fetched.resolved_url != man.full_url:
-            return report(Verdict.REDIRECT_MISMATCH, man)
+            return Verdict.REDIRECT_MISMATCH
         if man.status == STATUS_REVOKED:
-            return report(Verdict.REVOKED, man)
-
+            return Verdict.REVOKED
         preimage = wire.announcement_preimage(
             man.device_id,
             msg.nonce,
@@ -279,10 +278,10 @@ class Receiver:
         if not crypto.verify(
             man.device_public_key, hashlib.sha256(preimage).digest(), msg.signature
         ):
-            return report(Verdict.BAD_ANNOUNCEMENT_SIGNATURE, man)
+            return Verdict.BAD_ANNOUNCEMENT_SIGNATURE
         if msg.att_result == 0:
-            return report(Verdict.COMPROMISED, man)
-        return report(Verdict.VERIFIED, man)
+            return Verdict.COMPROMISED
+        return Verdict.VERIFIED
 
 
 @dataclass

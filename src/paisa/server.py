@@ -33,6 +33,7 @@ from typing import Dict, Optional, Tuple, Union
 from . import crypto, wire
 from .device import ATTEST_CHUNK_SIZE, Device, TimerConfig
 from .manifest import (
+    STATUS_ACTIVE,
     Manifest,
     ShortUrlRegistry,
     hosted_path,
@@ -167,20 +168,12 @@ class ManufacturerServer:
                 key_seed=key_seed,
             )
             man = Manifest(
+                **vars(desc),
                 device_id=device_id,
-                device_type_model=desc.device_type_model,
-                manufacturer=desc.manufacturer,
-                manufacture_date_location=desc.manufacture_date_location,
-                sensors=tuple(desc.sensors),
-                actuators=tuple(desc.actuators),
-                deployment_purpose=desc.deployment_purpose,
-                network_interfaces=tuple(desc.network_interfaces),
-                owner_id=desc.owner_id,
-                deployment_location=desc.deployment_location,
                 sw_hash=crypto.hash_chunked(sw_dev, ATTEST_CHUNK_SIZE),
                 device_public_key=device_pk,
                 full_url=full_url,
-                status="active",
+                status=STATUS_ACTIVE,
             )
             man = sign_manifest(man, self.keys)
             path = hosted_path(full_url)

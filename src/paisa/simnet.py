@@ -16,8 +16,9 @@ import hashlib
 import heapq
 import json
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from . import crypto, wire
 from .device import Device, TimerConfig
@@ -34,6 +35,14 @@ LINKS = ("device->server", "server->device", "device->receiver")
 
 class ScenarioError(ValueError):
     """Scenario rejected at load time; the message names the offending key."""
+
+
+def _flip_bit(data: bytes, bit: int) -> Tuple[bytes, int]:
+    """``data`` with bit ``bit`` (wrapped to its length) inverted, and that bit."""
+    buf = bytearray(data)
+    bit %= len(buf) * 8
+    buf[bit // 8] ^= 1 << (bit % 8)
+    return bytes(buf), bit
 
 
 class VirtualClock:
@@ -125,84 +134,97 @@ class AdversaryPolicy:
 
 
 def _require_keys(doc: dict, allowed: set, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{where} must be an object")
     unknown = set(doc) - allowed
     if unknown:
         raise ScenarioError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
-def _parse_link_rule(doc: dict, where: str, tamper: bool = False) -> _LinkRule:
+@contextmanager
+def _where(where: str) -> Iterator[None]:
+    """Report a bad or missing value in the block as a ScenarioError naming ``where``."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where}: {type(exc).__name__}: {exc}") from exc
+
+
+_REQUIRED = object()
+
+
+def _int(doc: dict, key: str, default=_REQUIRED, minimum: Optional[int] = None):
+    """``doc[key]`` as an int not below ``minimum``; ``default`` if given when absent or null."""
+    value = doc.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise KeyError(key)
+        return default
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{key} must be at least {minimum}, got {value}")
+    return value
+
+
+def _parse_link_rule(doc: dict, where: str, tamper: bool) -> _LinkRule:
     allowed = {"link", "device", "from", "until", "max_matches", "probability", "delay"}
-    if tamper:
-        allowed.add("flip_bit")
-    _require_keys(doc, allowed, where)
+    _require_keys(doc, allowed | {"flip_bit"} if tamper else allowed, where)
     link = doc.get("link")
     if link not in LINKS:
         raise ScenarioError(f"{where}: link must be one of {LINKS}, got {link!r}")
     return _LinkRule(
         link=link,
         device=doc.get("device"),
-        from_t=int(doc.get("from", 0)),
-        until_t=int(doc["until"]) if "until" in doc and doc["until"] is not None else None,
-        max_matches=(
-            int(doc["max_matches"])
-            if "max_matches" in doc and doc["max_matches"] is not None
-            else None
-        ),
+        from_t=_int(doc, "from", 0),
+        until_t=_int(doc, "until", None),
+        max_matches=_int(doc, "max_matches", None),
         probability=float(doc.get("probability", 1.0)),
-        delay=int(doc.get("delay", 0)),
-        flip_bit=int(doc["flip_bit"]) if tamper and "flip_bit" in doc else None,
+        delay=_int(doc, "delay", 0, minimum=0),
+        flip_bit=_int(doc, "flip_bit", None),
+    )
+
+
+def _parse_directive(kind: str, doc: dict, where: str):
+    """One entry of the adversary section ``kind`` (an ``AdversaryPolicy`` field)."""
+    if kind in ("drop", "tamper", "delay"):
+        return _parse_link_rule(doc, where, tamper=kind == "tamper")
+    if kind == "replay":
+        _require_keys(doc, {"device", "capture_time", "inject_at", "flip_bit"}, where)
+        capture_time = _int(doc, "capture_time")
+        return _ReplayDirective(
+            device=doc["device"],
+            capture_time=capture_time,
+            inject_at=_int(doc, "inject_at", minimum=capture_time),
+            flip_bit=_int(doc, "flip_bit", None),
+        )
+    if kind == "replay_sync":
+        _require_keys(doc, {"device", "message", "delay"}, where)
+        if doc.get("message") not in ("sync_req", "sync_ack"):
+            raise ScenarioError(f"{where}: message must be sync_req or sync_ack")
+        return _SyncReplayDirective(
+            device=doc["device"], message=doc["message"], delay=_int(doc, "delay", 1, minimum=0)
+        )
+    _require_keys(doc, {"device", "at", "flip_byte", "busy_loop", "restore_at"}, where)
+    return _CompromiseDirective(
+        device=doc["device"],
+        at=_int(doc, "at", minimum=0),
+        flip_byte=_int(doc, "flip_byte", None),
+        busy_loop=bool(doc.get("busy_loop", False)),
+        restore_at=_int(doc, "restore_at", None, minimum=0),
     )
 
 
 def parse_adversary(doc: dict) -> AdversaryPolicy:
-    _require_keys(
-        doc,
-        {"drop", "tamper", "delay", "replay", "replay_sync", "compromise"},
-        "adversary",
-    )
+    kinds = [f.name for f in fields(AdversaryPolicy)]
+    _require_keys(doc, set(kinds), "adversary")
     policy = AdversaryPolicy()
-    for i, rule in enumerate(doc.get("drop", [])):
-        policy.drop.append(_parse_link_rule(rule, f"adversary.drop[{i}]"))
-    for i, rule in enumerate(doc.get("tamper", [])):
-        policy.tamper.append(_parse_link_rule(rule, f"adversary.tamper[{i}]", tamper=True))
-    for i, rule in enumerate(doc.get("delay", [])):
-        policy.delay.append(_parse_link_rule(rule, f"adversary.delay[{i}]"))
-    for i, rep in enumerate(doc.get("replay", [])):
-        where = f"adversary.replay[{i}]"
-        _require_keys(rep, {"device", "capture_time", "inject_at", "flip_bit"}, where)
-        directive = _ReplayDirective(
-            device=rep["device"],
-            capture_time=int(rep["capture_time"]),
-            inject_at=int(rep["inject_at"]),
-            flip_bit=int(rep["flip_bit"]) if rep.get("flip_bit") is not None else None,
-        )
-        if directive.inject_at < directive.capture_time:
-            raise ScenarioError(f"{where}: inject_at precedes capture_time")
-        policy.replay.append(directive)
-    for i, rep in enumerate(doc.get("replay_sync", [])):
-        where = f"adversary.replay_sync[{i}]"
-        _require_keys(rep, {"device", "message", "delay"}, where)
-        if rep.get("message") not in ("sync_req", "sync_ack"):
-            raise ScenarioError(f"{where}: message must be sync_req or sync_ack")
-        policy.replay_sync.append(
-            _SyncReplayDirective(
-                device=rep["device"], message=rep["message"], delay=int(rep.get("delay", 1))
-            )
-        )
-    for i, comp in enumerate(doc.get("compromise", [])):
-        where = f"adversary.compromise[{i}]"
-        _require_keys(comp, {"device", "at", "flip_byte", "busy_loop", "restore_at"}, where)
-        policy.compromise.append(
-            _CompromiseDirective(
-                device=comp["device"],
-                at=int(comp["at"]),
-                flip_byte=int(comp["flip_byte"]) if comp.get("flip_byte") is not None else None,
-                busy_loop=bool(comp.get("busy_loop", False)),
-                restore_at=(
-                    int(comp["restore_at"]) if comp.get("restore_at") is not None else None
-                ),
-            )
-        )
+    for kind in kinds:
+        for i, item in enumerate(doc.get(kind, [])):
+            where = f"adversary.{kind}[{i}]"
+            with _where(where):
+                getattr(policy, kind).append(_parse_directive(kind, item, where))
     return policy
 
 
@@ -217,6 +239,10 @@ class DeviceSpec:
     t_attest: int = 10
     sw_size: int = 4096
     boot_at: int = 0
+    timer_config: TimerConfig = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.timer_config = TimerConfig(self.t_announce, self.t_attest)
 
 
 @dataclass
@@ -240,42 +266,46 @@ def load_scenario(source: Union[str, dict]) -> Scenario:
                 doc = json.load(f)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ScenarioError(f"cannot read {source}: {exc}") from exc
     _require_keys(
         doc,
         {"seed", "horizon", "epsilon", "future_skew", "receivers", "devices", "adversary"},
         "scenario",
     )
-    if "devices" not in doc or not doc["devices"]:
+    if not doc.get("devices"):
         raise ScenarioError("scenario: at least one device is required")
     devices = []
     seen = set()
-    for i, dev in enumerate(doc["devices"]):
-        where = f"devices[{i}]"
-        _require_keys(dev, {"name", "t_announce", "t_attest", "sw_size", "boot_at"}, where)
-        if "name" not in dev:
-            raise ScenarioError(f"{where}: device name is required")
-        if dev["name"] in seen:
-            raise ScenarioError(f"{where}: duplicate device name {dev['name']!r}")
-        seen.add(dev["name"])
-        t_announce = int(dev.get("t_announce", 10))
-        devices.append(
-            DeviceSpec(
-                name=dev["name"],
-                t_announce=t_announce,
-                t_attest=int(dev.get("t_attest", t_announce)),
-                sw_size=int(dev.get("sw_size", 4096)),
-                boot_at=int(dev.get("boot_at", 0)),
-            )
+    with _where("scenario"):
+        for i, dev in enumerate(doc["devices"]):
+            where = f"devices[{i}]"
+            _require_keys(dev, {"name", "t_announce", "t_attest", "sw_size", "boot_at"}, where)
+            if not isinstance(dev.get("name"), str):
+                raise ScenarioError(f"{where}: a device name string is required")
+            if dev["name"] in seen:
+                raise ScenarioError(f"{where}: duplicate device name {dev['name']!r}")
+            seen.add(dev["name"])
+            with _where(where):
+                t_announce = _int(dev, "t_announce", 10)
+                devices.append(
+                    DeviceSpec(
+                        name=dev["name"],
+                        t_announce=t_announce,
+                        t_attest=_int(dev, "t_attest", t_announce),
+                        sw_size=_int(dev, "sw_size", 4096, minimum=1),
+                        boot_at=_int(dev, "boot_at", 0, minimum=0),
+                    )
+                )
+        return Scenario(
+            seed=_int(doc, "seed", 0),
+            horizon=_int(doc, "horizon", 100),
+            epsilon=_int(doc, "epsilon", 10, minimum=0),
+            future_skew=_int(doc, "future_skew", 2, minimum=0),
+            receivers=_int(doc, "receivers", 1, minimum=0),
+            devices=devices,
+            adversary=parse_adversary(doc.get("adversary", {})),
         )
-    return Scenario(
-        seed=int(doc.get("seed", 0)),
-        horizon=int(doc.get("horizon", 100)),
-        epsilon=int(doc.get("epsilon", 10)),
-        future_skew=int(doc.get("future_skew", 2)),
-        receivers=int(doc.get("receivers", 1)),
-        devices=devices,
-        adversary=parse_adversary(doc.get("adversary", {})),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +346,7 @@ class Simulation:
                 sw_dev=sw,
                 full_url=f"https://mfr.example/manifests/{spec.name}.json",
                 ts_cur=0,
-                timer_config=TimerConfig(spec.t_announce, spec.t_attest),
+                timer_config=spec.timer_config,
                 description=DeviceDescription(
                     device_type_model=f"sim-{spec.name}",
                     deployment_purpose="simulation",
@@ -364,10 +394,7 @@ class Simulation:
         for rule in self.scenario.adversary.tamper:
             if rule.applies(link, device, t) and rule.flip_bit is not None:
                 rule.matched += 1
-                buf = bytearray(out)
-                bit = rule.flip_bit % (len(buf) * 8)
-                buf[bit // 8] ^= 1 << (bit % 8)
-                out = bytes(buf)
+                out, bit = _flip_bit(out, rule.flip_bit)
                 self._log("tamper", id=send_id, link=link, device=device, flip_bit=bit)
         extra_delay = 0
         for rule in self.scenario.adversary.delay:
@@ -511,10 +538,7 @@ class Simulation:
             ):
                 data = frame
                 if directive.flip_bit is not None:
-                    buf = bytearray(data)
-                    bit = directive.flip_bit % (len(buf) * 8)
-                    buf[bit // 8] ^= 1 << (bit % 8)
-                    data = bytes(buf)
+                    data, _ = _flip_bit(frame, directive.flip_bit)
                 directive.captured = data
                 self._log("replay_capture", device=name, inject_at=directive.inject_at)
                 self.clock.schedule(

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 
 import pytest
@@ -401,3 +402,35 @@ def test_dedupe_drops_flagged_duplicates():
 def test_dedupe_tracks_devices_independently():
     reports = [rep(Verdict.VERIFIED, 0, "aa"), rep(Verdict.VERIFIED, 1, "bb")]
     assert len(dedupe(reports, window=10)) == 2
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("device_type_model", [1, 2]),
+        ("sensors", [5]),
+        ("full_url", 7),
+        ("owner_id", None),
+        ("sensors", "pir"),
+    ],
+)
+def test_wrongly_typed_manifest_field_is_bad_manifest_signature(rig, key, value):
+    frame = synced_frame(rig, now=1000)
+    hosted = rig["server"].manifests
+    doc = json.loads(hosted["/manifests/rig.json"])
+    doc[key] = value
+    hosted["/manifests/rig.json"] = json.dumps(doc).encode()
+    receiver, _, _ = make_receiver(rig, now=1000)
+    rep = receiver.process_frame(frame)
+    assert rep.verdict is Verdict.BAD_MANIFEST_SIGNATURE
+    assert rep.manifest is None and rep.device_id is None
+
+
+def test_unencodable_manifest_string_is_bad_manifest_signature(rig):
+    frame = synced_frame(rig, now=1000)
+    hosted = rig["server"].manifests
+    doc = json.loads(hosted["/manifests/rig.json"])
+    doc["owner_id"] = "\ud800"  # a lone surrogate: a JSON string with no UTF-8 form
+    hosted["/manifests/rig.json"] = json.dumps(doc).encode()
+    receiver, _, _ = make_receiver(rig, now=1000)
+    assert receiver.process_frame(frame).verdict is Verdict.BAD_MANIFEST_SIGNATURE

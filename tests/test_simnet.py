@@ -70,6 +70,48 @@ def test_invalid_link_name_rejected():
         )
 
 
+def one_device(**fields):
+    return [dict({"name": "a", "t_announce": 10, "t_attest": 10}, **fields)]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"devices": one_device(t_announce=0)},
+        {"devices": one_device(t_announce="x")},
+        {"devices": one_device(t_attest=15)},
+        {"horizon": "abc"},
+        {"adversary": {"drop": [{"link": "device->receiver", "probability": "p"}]}},
+        {"epsilon": -1},
+        {"future_skew": -1},
+        {"devices": one_device(boot_at=-1)},
+        {
+            "devices": one_device(sw_size=0),
+            "adversary": {"compromise": [{"device": "a", "at": 5, "flip_byte": 3}]},
+        },
+        {"receivers": -1},
+        {"devices": one_device(name=5)},
+        {"adversary": []},
+        {"adversary": {"compromise": [{"device": "a", "at": -1}]}},
+        {"adversary": {"compromise": [{"device": "a"}]}},
+        {"adversary": {"delay": [{"link": "device->receiver", "delay": -3}]}},
+        {"adversary": {"replay_sync": [{"device": "a", "message": "sync_req", "delay": -1}]}},
+    ],
+)
+def test_malformed_value_is_a_scenario_error(overrides):
+    with pytest.raises(simnet.ScenarioError):
+        simnet.load_scenario(base_doc(**overrides))
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{}"])
+def test_unreadable_scenario_file_is_a_scenario_error(tmp_path, content):
+    path = tmp_path / "scenario.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(simnet.ScenarioError):
+        simnet.load_scenario(str(path))
+
+
 def test_malformed_json_file_reports_location(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\n  broken\n}")
