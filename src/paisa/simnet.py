@@ -4,21 +4,28 @@ configurable Dolev-Yao adversary connecting devices, server, and receivers.
 The adversary is pure data: a scenario policy can drop, delay, tamper with,
 and replay serialized frames, and mutate a device's normal software. No policy
 primitive exists that reads or writes trusted state or private keys, so
-isolation holds by construction; unknown directives fail at load time.
+isolation holds by construction.
+
+A scenario is immutable data. Each section of the document is one frozen
+dataclass whose fields are its only accepted keys (field metadata names the
+JSON key where it differs, and the lower bound); ``_load`` reads every
+section the same way, and each class checks its cross-field rules in
+``__post_init__``. Unknown keys, bad values and directives naming no
+scenario device fail at load time with a ``ScenarioError``.
 
 Every run is fully determined by (scenario, seed): all randomness flows from
-one seeded generator owned by the scheduler.
+one seeded generator owned by the scheduler, and everything a run changes
+(the match counts of rules with ``max_matches``, which replay directives have
+fired) lives in its ``Simulation``, so a loaded ``Scenario`` gives the same
+log each time it is run.
 """
-
-from __future__ import annotations
 
 import hashlib
 import heapq
 import json
 import random
-from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union, get_args, get_origin
 
 from . import crypto, wire
 from .device import Device, TimerConfig
@@ -68,192 +75,190 @@ class VirtualClock:
 
 
 # ---------------------------------------------------------------------------
-# Adversary policy
+# Scenario document: one frozen dataclass per section
 # ---------------------------------------------------------------------------
 
-@dataclass
+def _key(default=MISSING, *, minimum: Optional[int] = None, key: Optional[str] = None):
+    """A scenario field with a lower bound, or read from a JSON key other than its name."""
+    return field(default=default, metadata={"minimum": minimum, "key": key})
+
+
+@dataclass(frozen=True, kw_only=True)
 class _LinkRule:
     link: str
-    device: Optional[str]
-    from_t: int
-    until_t: Optional[int]
-    max_matches: Optional[int]
-    probability: float = 1.0
-    delay: int = 0
-    flip_bit: Optional[int] = None
-    matched: int = 0
+    device: Optional[str] = None
+    from_t: int = _key(0, key="from")
+    until_t: Optional[int] = _key(None, key="until")
+    max_matches: Optional[int] = None
 
-    def applies(self, link: str, device: Optional[str], t: int) -> bool:
-        if self.link != link:
+    def __post_init__(self) -> None:
+        if self.link not in LINKS:
+            raise ValueError(f"link must be one of {LINKS}, got {self.link!r}")
+
+    def takes(self, link: str, device: Optional[str], t: int, matched: Dict[int, int]) -> bool:
+        """Whether the rule acts on this send. ``matched`` is the run's count of
+        sends taken by each rule with ``max_matches``, keyed by ``id(rule)``."""
+        if (
+            self.link != link
+            or (self.device is not None and self.device != device)
+            or t < self.from_t
+            or (self.until_t is not None and t >= self.until_t)
+        ):
             return False
-        if self.device is not None and self.device != device:
+        if self.max_matches is None:
+            return True
+        n = matched[id(self)]
+        if n >= self.max_matches:
             return False
-        if t < self.from_t:
-            return False
-        if self.until_t is not None and t >= self.until_t:
-            return False
-        if self.max_matches is not None and self.matched >= self.max_matches:
-            return False
+        matched[id(self)] = n + 1
         return True
 
 
-@dataclass
+@dataclass(frozen=True, kw_only=True)
+class _DropRule(_LinkRule):
+    probability: float = 1.0
+
+
+@dataclass(frozen=True, kw_only=True)
+class _TamperRule(_LinkRule):
+    flip_bit: int
+
+
+@dataclass(frozen=True, kw_only=True)
+class _DelayRule(_LinkRule):
+    delay: int = _key(0, minimum=0)
+
+
+@dataclass(frozen=True, kw_only=True)
 class _ReplayDirective:
     device: str
     capture_time: int
     inject_at: int
     flip_bit: Optional[int] = None
-    captured: Optional[bytes] = None
+
+    def __post_init__(self) -> None:
+        if self.inject_at < self.capture_time:
+            raise ValueError(
+                f"inject_at must be at least capture_time {self.capture_time}, got {self.inject_at}"
+            )
 
 
-@dataclass
+@dataclass(frozen=True, kw_only=True)
 class _SyncReplayDirective:
     device: str
-    message: str  # "sync_req" | "sync_ack"
-    delay: int
-    captured: bool = False
+    message: str
+    delay: int = _key(1, minimum=0)
+
+    def __post_init__(self) -> None:
+        if self.message not in ("sync_req", "sync_ack"):
+            raise ValueError(f"message must be sync_req or sync_ack, got {self.message!r}")
 
 
-@dataclass
+@dataclass(frozen=True, kw_only=True)
 class _CompromiseDirective:
     device: str
-    at: int
+    at: int = _key(minimum=0)
     flip_byte: Optional[int] = None
     busy_loop: bool = False
-    restore_at: Optional[int] = None
+    restore_at: Optional[int] = _key(None, minimum=0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdversaryPolicy:
-    drop: List[_LinkRule] = field(default_factory=list)
-    tamper: List[_LinkRule] = field(default_factory=list)
-    delay: List[_LinkRule] = field(default_factory=list)
-    replay: List[_ReplayDirective] = field(default_factory=list)
-    replay_sync: List[_SyncReplayDirective] = field(default_factory=list)
-    compromise: List[_CompromiseDirective] = field(default_factory=list)
+    drop: Tuple[_DropRule, ...] = ()
+    tamper: Tuple[_TamperRule, ...] = ()
+    delay: Tuple[_DelayRule, ...] = ()
+    replay: Tuple[_ReplayDirective, ...] = ()
+    replay_sync: Tuple[_SyncReplayDirective, ...] = ()
+    compromise: Tuple[_CompromiseDirective, ...] = ()
 
 
-def _require_keys(doc: dict, allowed: set, where: str) -> None:
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{where} must be an object")
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ScenarioError(f"unknown key(s) {sorted(unknown)} in {where}")
-
-
-@contextmanager
-def _where(where: str) -> Iterator[None]:
-    """Report a bad or missing value in the block as a ScenarioError naming ``where``."""
-    try:
-        yield
-    except ScenarioError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: {type(exc).__name__}: {exc}") from exc
-
-
-_REQUIRED = object()
-
-
-def _int(doc: dict, key: str, default=_REQUIRED, minimum: Optional[int] = None):
-    """``doc[key]`` as an int not below ``minimum``; ``default`` if given when absent or null."""
-    value = doc.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise KeyError(key)
-        return default
-    value = int(value)
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{key} must be at least {minimum}, got {value}")
-    return value
-
-
-def _parse_link_rule(doc: dict, where: str, tamper: bool) -> _LinkRule:
-    allowed = {"link", "device", "from", "until", "max_matches", "probability", "delay"}
-    _require_keys(doc, allowed | {"flip_bit"} if tamper else allowed, where)
-    link = doc.get("link")
-    if link not in LINKS:
-        raise ScenarioError(f"{where}: link must be one of {LINKS}, got {link!r}")
-    return _LinkRule(
-        link=link,
-        device=doc.get("device"),
-        from_t=_int(doc, "from", 0),
-        until_t=_int(doc, "until", None),
-        max_matches=_int(doc, "max_matches", None),
-        probability=float(doc.get("probability", 1.0)),
-        delay=_int(doc, "delay", 0, minimum=0),
-        flip_bit=_int(doc, "flip_bit", None),
-    )
-
-
-def _parse_directive(kind: str, doc: dict, where: str):
-    """One entry of the adversary section ``kind`` (an ``AdversaryPolicy`` field)."""
-    if kind in ("drop", "tamper", "delay"):
-        return _parse_link_rule(doc, where, tamper=kind == "tamper")
-    if kind == "replay":
-        _require_keys(doc, {"device", "capture_time", "inject_at", "flip_bit"}, where)
-        capture_time = _int(doc, "capture_time")
-        return _ReplayDirective(
-            device=doc["device"],
-            capture_time=capture_time,
-            inject_at=_int(doc, "inject_at", minimum=capture_time),
-            flip_bit=_int(doc, "flip_bit", None),
-        )
-    if kind == "replay_sync":
-        _require_keys(doc, {"device", "message", "delay"}, where)
-        if doc.get("message") not in ("sync_req", "sync_ack"):
-            raise ScenarioError(f"{where}: message must be sync_req or sync_ack")
-        return _SyncReplayDirective(
-            device=doc["device"], message=doc["message"], delay=_int(doc, "delay", 1, minimum=0)
-        )
-    _require_keys(doc, {"device", "at", "flip_byte", "busy_loop", "restore_at"}, where)
-    return _CompromiseDirective(
-        device=doc["device"],
-        at=_int(doc, "at", minimum=0),
-        flip_byte=_int(doc, "flip_byte", None),
-        busy_loop=bool(doc.get("busy_loop", False)),
-        restore_at=_int(doc, "restore_at", None, minimum=0),
-    )
-
-
-def parse_adversary(doc: dict) -> AdversaryPolicy:
-    kinds = [f.name for f in fields(AdversaryPolicy)]
-    _require_keys(doc, set(kinds), "adversary")
-    policy = AdversaryPolicy()
-    for kind in kinds:
-        for i, item in enumerate(doc.get(kind, [])):
-            where = f"adversary.{kind}[{i}]"
-            with _where(where):
-                getattr(policy, kind).append(_parse_directive(kind, item, where))
-    return policy
-
-
-# ---------------------------------------------------------------------------
-# Scenario
-# ---------------------------------------------------------------------------
-
-@dataclass
+@dataclass(frozen=True, kw_only=True)
 class DeviceSpec:
     name: str
     t_announce: int = 10
-    t_attest: int = 10
-    sw_size: int = 4096
-    boot_at: int = 0
-    timer_config: TimerConfig = field(init=False)
+    t_attest: Optional[int] = None  # t_announce when absent
+    sw_size: int = _key(4096, minimum=1)
+    boot_at: int = _key(0, minimum=0)
 
     def __post_init__(self) -> None:
-        self.timer_config = TimerConfig(self.t_announce, self.t_attest)
+        if self.t_attest is None:
+            object.__setattr__(self, "t_attest", self.t_announce)
+        TimerConfig(self.t_announce, self.t_attest)  # rejects periods a device cannot run
 
 
-@dataclass
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
-    seed: int
-    horizon: int
-    epsilon: int
-    future_skew: int
-    receivers: int
-    devices: List[DeviceSpec]
-    adversary: AdversaryPolicy
+    seed: int = 0
+    horizon: int = 100
+    epsilon: int = _key(10, minimum=0)
+    future_skew: int = _key(2, minimum=0)
+    receivers: int = _key(1, minimum=0)
+    devices: Tuple[DeviceSpec, ...] = ()
+    adversary: AdversaryPolicy = AdversaryPolicy()
+
+    def __post_init__(self) -> None:
+        if not self.devices:
+            raise ValueError("at least one device is required")
+        names: Set[str] = set()
+        for spec in self.devices:
+            if spec.name in names:
+                raise ValueError(f"duplicate device name {spec.name!r}")
+            names.add(spec.name)
+        for section in fields(self.adversary):
+            for i, directive in enumerate(getattr(self.adversary, section.name)):
+                if directive.device is not None and directive.device not in names:
+                    raise ValueError(
+                        f"adversary.{section.name}[{i}] names unknown device {directive.device!r}"
+                    )
+
+
+def _load(cls, doc, where: str):
+    """Read the section ``doc`` into the dataclass ``cls``: each field is one
+    key, and an absent or null key takes the field's default."""
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{where} must be an object")
+    by_key = {f.metadata.get("key") or f.name: f for f in fields(cls)}
+    unknown = set(doc) - set(by_key)
+    if unknown:
+        raise ScenarioError(f"unknown key(s) {sorted(unknown)} in {where}")
+    values = {}
+    for key, f in by_key.items():
+        raw = doc.get(key)
+        if raw is not None:
+            values[f.name] = _value(f, raw, f"{where}.{key}")
+        elif f.default is MISSING:
+            raise ScenarioError(f"{where}: {key} is required")
+    try:
+        return cls(**values)
+    except ValueError as exc:  # a cross-field rule in __post_init__
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
+def _value(f, raw, where: str):
+    """``raw`` as the type of field ``f``: a string, an int, float or bool by
+    conversion and not below its minimum, a section, or a list of sections."""
+    kind = f.type
+    if get_origin(kind) is Union:  # Optional[X]
+        kind = get_args(kind)[0]
+    if kind is str:
+        if not isinstance(raw, str):
+            raise ScenarioError(f"{where} must be a string")
+        return raw
+    if is_dataclass(kind):
+        return _load(kind, raw, where)
+    try:
+        if kind not in (int, float, bool):  # Tuple[Section, ...]
+            return tuple(_load(get_args(kind)[0], item, f"{where}[{i}]") for i, item in enumerate(raw))
+        value = kind(raw)
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+    minimum = f.metadata.get("minimum")
+    if minimum is not None and value < minimum:
+        raise ScenarioError(f"{where} must be at least {minimum}, got {value}")
+    return value
 
 
 def load_scenario(source: Union[str, dict]) -> Scenario:
@@ -268,44 +273,7 @@ def load_scenario(source: Union[str, dict]) -> Scenario:
             raise ScenarioError(f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
         except (OSError, UnicodeDecodeError) as exc:
             raise ScenarioError(f"cannot read {source}: {exc}") from exc
-    _require_keys(
-        doc,
-        {"seed", "horizon", "epsilon", "future_skew", "receivers", "devices", "adversary"},
-        "scenario",
-    )
-    if not doc.get("devices"):
-        raise ScenarioError("scenario: at least one device is required")
-    devices = []
-    seen = set()
-    with _where("scenario"):
-        for i, dev in enumerate(doc["devices"]):
-            where = f"devices[{i}]"
-            _require_keys(dev, {"name", "t_announce", "t_attest", "sw_size", "boot_at"}, where)
-            if not isinstance(dev.get("name"), str):
-                raise ScenarioError(f"{where}: a device name string is required")
-            if dev["name"] in seen:
-                raise ScenarioError(f"{where}: duplicate device name {dev['name']!r}")
-            seen.add(dev["name"])
-            with _where(where):
-                t_announce = _int(dev, "t_announce", 10)
-                devices.append(
-                    DeviceSpec(
-                        name=dev["name"],
-                        t_announce=t_announce,
-                        t_attest=_int(dev, "t_attest", t_announce),
-                        sw_size=_int(dev, "sw_size", 4096, minimum=1),
-                        boot_at=_int(dev, "boot_at", 0, minimum=0),
-                    )
-                )
-        return Scenario(
-            seed=_int(doc, "seed", 0),
-            horizon=_int(doc, "horizon", 100),
-            epsilon=_int(doc, "epsilon", 10, minimum=0),
-            future_skew=_int(doc, "future_skew", 2, minimum=0),
-            receivers=_int(doc, "receivers", 1, minimum=0),
-            devices=devices,
-            adversary=parse_adversary(doc.get("adversary", {})),
-        )
+    return _load(Scenario, doc, "scenario")
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +297,17 @@ class Simulation:
         self.log: List[dict] = []
         self.beacon_frames: List[Tuple[int, bytes]] = []
         self._send_seq = 0
+        # Run state, keyed by identity so that two equal rules count apart:
+        # the sends taken so far by each rule with max_matches, and the
+        # replay directives that have fired.
+        adv = scenario.adversary
+        self._matched: Dict[int, int] = {
+            id(rule): 0
+            for rules in (adv.drop, adv.tamper, adv.delay)
+            for rule in rules
+            if rule.max_matches is not None
+        }
+        self._fired: Set[int] = set()
 
         mfr_keys = crypto.generate_keypair(self.rng.randbytes(32))
         self.server = ManufacturerServer(mfr_keys, nonce_source=self.rng)
@@ -346,7 +325,7 @@ class Simulation:
                 sw_dev=sw,
                 full_url=f"https://mfr.example/manifests/{spec.name}.json",
                 ts_cur=0,
-                timer_config=spec.timer_config,
+                timer_config=TimerConfig(spec.t_announce, spec.t_attest),
                 description=DeviceDescription(
                     device_type_model=f"sim-{spec.name}",
                     deployment_purpose="simulation",
@@ -384,22 +363,19 @@ class Simulation:
     ) -> Optional[Tuple[bytes, int]]:
         """Returns (possibly tampered payload, extra delay), or None if dropped."""
         t = self.clock.now
-        for rule in self.scenario.adversary.drop:
-            if rule.applies(link, device, t):
-                rule.matched += 1
-                if self.rng.random() < rule.probability:
-                    self._log("drop", id=send_id, link=link, device=device)
-                    return None
+        adv, matched = self.scenario.adversary, self._matched
+        for rule in adv.drop:
+            if rule.takes(link, device, t, matched) and self.rng.random() < rule.probability:
+                self._log("drop", id=send_id, link=link, device=device)
+                return None
         out = payload
-        for rule in self.scenario.adversary.tamper:
-            if rule.applies(link, device, t) and rule.flip_bit is not None:
-                rule.matched += 1
+        for rule in adv.tamper:
+            if rule.takes(link, device, t, matched):
                 out, bit = _flip_bit(out, rule.flip_bit)
                 self._log("tamper", id=send_id, link=link, device=device, flip_bit=bit)
         extra_delay = 0
-        for rule in self.scenario.adversary.delay:
-            if rule.applies(link, device, t):
-                rule.matched += 1
+        for rule in adv.delay:
+            if rule.takes(link, device, t, matched):
                 extra_delay += rule.delay
                 self._log("delay", id=send_id, link=link, device=device, seconds=rule.delay)
         return out, extra_delay
@@ -448,8 +424,8 @@ class Simulation:
 
     def _maybe_capture_sync(self, name: str, kind: str, payload: bytes) -> None:
         for directive in self.scenario.adversary.replay_sync:
-            if directive.device == name and directive.message == kind and not directive.captured:
-                directive.captured = True
+            if directive.device == name and directive.message == kind and id(directive) not in self._fired:
+                self._fired.add(id(directive))
                 self.clock.schedule(
                     self.clock.now + directive.delay,
                     lambda: self._send_to_server(name, kind, payload, replayed=True),
@@ -530,16 +506,18 @@ class Simulation:
             )
 
     def _maybe_capture_beacon(self, name: str, frame: bytes) -> None:
+        """Capture the device's first frame sent in a replay's window
+        [capture_time, inject_at]; with none in it, that replay never fires."""
         for directive in self.scenario.adversary.replay:
             if (
                 directive.device == name
-                and directive.captured is None
-                and self.clock.now >= directive.capture_time
+                and directive.capture_time <= self.clock.now <= directive.inject_at
+                and id(directive) not in self._fired
             ):
+                self._fired.add(id(directive))
                 data = frame
                 if directive.flip_bit is not None:
                     data, _ = _flip_bit(frame, directive.flip_bit)
-                directive.captured = data
                 self._log("replay_capture", device=name, inject_at=directive.inject_at)
                 self.clock.schedule(
                     directive.inject_at, lambda d=data, n=name: self.inject_replay(d, n)
@@ -573,16 +551,6 @@ class Simulation:
 
     # -- compromise directives ------------------------------------------------
 
-    def _schedule_compromises(self) -> None:
-        for directive in self.scenario.adversary.compromise:
-            if directive.device not in self.devices:
-                raise ScenarioError(f"compromise names unknown device {directive.device!r}")
-            self.clock.schedule(directive.at, lambda d=directive: self._compromise(d))
-            if directive.restore_at is not None:
-                self.clock.schedule(
-                    directive.restore_at, lambda d=directive: self._restore(d)
-                )
-
     def _compromise(self, directive: _CompromiseDirective) -> None:
         sw = self.devices[directive.device].software
         if directive.flip_byte is not None:
@@ -604,7 +572,10 @@ class Simulation:
     def run(self) -> SimResult:
         for spec in self.scenario.devices:
             self.clock.schedule(spec.boot_at, lambda n=spec.name: self._boot(n))
-        self._schedule_compromises()
+        for directive in self.scenario.adversary.compromise:
+            self.clock.schedule(directive.at, lambda d=directive: self._compromise(d))
+            if directive.restore_at is not None:
+                self.clock.schedule(directive.restore_at, lambda d=directive: self._restore(d))
         self.clock.run_until(self.scenario.horizon)
         return SimResult(log=self.log, beacon_frames=self.beacon_frames)
 

@@ -96,6 +96,19 @@ def one_device(**fields):
         {"adversary": {"compromise": [{"device": "a"}]}},
         {"adversary": {"delay": [{"link": "device->receiver", "delay": -3}]}},
         {"adversary": {"replay_sync": [{"device": "a", "message": "sync_req", "delay": -1}]}},
+        # Every directive's device must name a scenario device.
+        {"adversary": {"drop": [{"link": "device->receiver", "device": "ghost"}]}},
+        {"adversary": {"tamper": [{"link": "device->server", "device": "ghost", "flip_bit": 1}]}},
+        {"adversary": {"delay": [{"link": "server->device", "device": "ghost", "delay": 1}]}},
+        {"adversary": {"replay": [{"device": "ghost", "capture_time": 0, "inject_at": 5}]}},
+        {"adversary": {"replay_sync": [{"device": "ghost", "message": "sync_req"}]}},
+        {"adversary": {"compromise": [{"device": "ghost", "at": 5}]}},
+        # Each rule kind accepts only the keys it uses.
+        {"adversary": {"tamper": [{"link": "device->server", "flip_bit": 1, "probability": 0.5}]}},
+        {"adversary": {"delay": [{"link": "device->server", "delay": 1, "probability": 0.5}]}},
+        {"adversary": {"drop": [{"link": "device->server", "delay": 1}]}},
+        {"adversary": {"tamper": [{"link": "device->server", "flip_bit": 1, "delay": 1}]}},
+        {"adversary": {"tamper": [{"link": "device->server"}]}},
     ],
 )
 def test_malformed_value_is_a_scenario_error(overrides):
@@ -128,6 +141,24 @@ def test_same_seed_byte_identical_logs():
     b = simnet.run_scenario(str(SCENARIOS / "replay.json"))
     assert a.log_ndjson() == b.log_ndjson()
     assert a.beacon_frames == b.beacon_frames
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.stem for p in SCENARIOS.glob("*.json")) + ["tamper_sync"]
+)
+def test_loaded_scenario_runs_the_same_twice(name):
+    source = TAMPER_SYNC if name == "tamper_sync" else str(SCENARIOS / f"{name}.json")
+    scenario = simnet.load_scenario(source)
+    a = simnet.run_scenario(scenario)
+    b = simnet.run_scenario(scenario)
+    assert a.log_ndjson() == b.log_ndjson()
+    assert a.beacon_frames == b.beacon_frames
+
+
+def test_equal_rules_count_their_matches_apart():
+    rule = {"link": "device->receiver", "max_matches": 1}
+    result = simnet.run_scenario(base_doc(adversary={"drop": [rule, dict(rule)]}))
+    assert sum(e["event"] == "drop" for e in result.log) == 2
 
 
 def test_different_seed_changes_frames():
@@ -231,6 +262,16 @@ def test_replay_within_window_flagged_duplicate():
     assert len(dupes) == 1
     assert dupes[0]["replayed"]
     assert dupes[0]["verdict"] == "verified"
+
+
+def test_replay_with_no_frame_in_its_window_never_fires():
+    doc = base_doc(
+        devices=[{"name": "a", "boot_at": 10}],
+        adversary={"replay": [{"device": "a", "capture_time": 0, "inject_at": 5}]},
+    )
+    result = simnet.run_scenario(doc)
+    assert any(e["event"] == "announce" for e in result.log)
+    assert not any(e["event"].startswith("replay") or e.get("replayed") for e in result.log)
 
 
 # -- compromise --------------------------------------------------------------
