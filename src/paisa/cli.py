@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 from . import crypto, pcapio, simnet, wire
 from .device import Device, DeviceError, TimerConfig
 from .receiver import Receiver, ReceiverConfig, RegistryFetcher
-from .server import DeviceDescription, ManufacturerServer
+from .server import DeviceDescription, ManufacturerServer, ServerError
 
 DEFAULT_KEY_DIR_ENV = "PAISA_KEY_DIR"
 
@@ -28,6 +28,15 @@ def _key_path(args_path: Optional[str], name: str) -> str:
         return args_path
     base = os.environ.get(DEFAULT_KEY_DIR_ENV, ".")
     return os.path.join(base, name)
+
+
+def _load_store(path: str) -> Optional[ManufacturerServer]:
+    """The server in a store file, or None (reported) if it cannot be loaded."""
+    try:
+        return ManufacturerServer.load(path)
+    except ServerError as exc:
+        print(f"cannot load store: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_keygen(args: argparse.Namespace) -> int:
@@ -56,7 +65,9 @@ def cmd_provision(args: argparse.Namespace) -> int:
         print(f"cannot read image: {exc}", file=sys.stderr)
         return 1
     if os.path.exists(args.store):
-        server = ManufacturerServer.load(args.store)
+        server = _load_store(args.store)
+        if server is None:
+            return 1
     else:
         keys = crypto.load_keypair(_key_path(args.mfr_keys, "paisa.key"))
         server = ManufacturerServer(keys, store_path=args.store)
@@ -110,7 +121,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
     except (OSError, pcapio.PcapError) as exc:
         print(f"cannot read pcap: {exc}", file=sys.stderr)
         return 1
-    server = ManufacturerServer.load(args.store)
+    server = _load_store(args.store)
+    if server is None:
+        return 1
     fetcher = RegistryFetcher(server.registry, server.serve_manifest)
     pinned = frozenset({bytes.fromhex(args.pin)}) if args.pin else None
     cfg = ReceiverConfig(
@@ -139,7 +152,9 @@ def _address(text: str) -> Tuple[str, int]:
 def cmd_server(args: argparse.Namespace) -> int:
     """Live UDP time-sync responder backed by a store file; prints one JSON
     event per datagram, named as in the simulator log."""
-    server = ManufacturerServer.load(args.store)
+    server = _load_store(args.store)
+    if server is None:
+        return 1
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
         sock.bind(_address(args.listen))
         print(f"listening on {sock.getsockname()[0]}:{sock.getsockname()[1]}", flush=True)

@@ -15,7 +15,6 @@ TEE isolation contract. Compromise is modeled as mutation access to
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
@@ -205,10 +204,8 @@ class Device:
         st = self._require_provisioned()
         n_dev1 = self._nonces.randbytes(wire.NONCE_LEN)
         self._pending_sync_nonce = n_dev1
-        preimage = wire.sync_req_preimage(st.device_id, n_dev1, st.ts_prev)
-        sig = crypto.sign(st.device_keys.private_key, hashlib.sha256(preimage).digest())
-        return wire.SyncReq(
-            device_id=st.device_id, n_dev1=n_dev1, ts_prev=st.ts_prev, signature=sig
+        return wire.signed(
+            wire.SyncReq, st.device_keys.private_key, st.device_id, n_dev1, st.ts_prev
         )
 
     def next_sync_attempt(self) -> Optional[Tuple[bytes, int]]:
@@ -231,30 +228,15 @@ class Device:
             return None
         if resp.device_id != st.device_id or resp.n_dev1 != self._pending_sync_nonce:
             return None
-        preimage = wire.sync_resp_preimage(
-            resp.device_id, resp.n_dev1, resp.n_svr1, resp.ts_cur
-        )
-        if not crypto.verify(
-            st.mfr_public_key, hashlib.sha256(preimage).digest(), resp.signature
-        ):
+        if not wire.verifies(resp, st.mfr_public_key):
             return None
         st.ts_prev = resp.ts_cur
         self.clock.resync(resp.ts_cur)
         self.synced = True
         self._pending_sync_nonce = None
         n_dev2 = self._nonces.randbytes(wire.NONCE_LEN)
-        ack_preimage = wire.sync_ack_preimage(
-            st.device_id, n_dev2, resp.n_svr1, st.ts_prev
-        )
-        sig = crypto.sign(
-            st.device_keys.private_key, hashlib.sha256(ack_preimage).digest()
-        )
-        return wire.SyncAck(
-            device_id=st.device_id,
-            n_dev2=n_dev2,
-            n_svr1=resp.n_svr1,
-            ts_prev=st.ts_prev,
-            signature=sig,
+        return wire.signed(
+            wire.SyncAck, st.device_keys.private_key, st.device_id, n_dev2, resp.n_svr1, st.ts_prev
         )
 
     def handle_sync_datagram(self, data: bytes) -> Optional[bytes]:
@@ -306,19 +288,10 @@ class Device:
         if not self.synced:
             raise DeviceError("cannot announce with an unsynced clock")
         report = self._last_report if self._last_report is not None else self.attest()
-        now = self.clock.now
         nonce = self._nonces.randbytes(wire.NONCE_LEN)
-        preimage = wire.announcement_preimage(
-            st.device_id, nonce, now, st.short_url, report.att_result, report.att_timestamp
-        )
-        sig = crypto.sign(st.device_keys.private_key, hashlib.sha256(preimage).digest())
-        return wire.AnnouncementMsg(
-            nonce=nonce,
-            timestamp=now,
-            short_url=st.short_url,
-            att_result=report.att_result,
-            att_timestamp=report.att_timestamp,
-            signature=sig,
+        return wire.signed(
+            wire.AnnouncementMsg, st.device_keys.private_key, nonce, self.clock.now,
+            st.short_url, report.att_result, report.att_timestamp, device_id=st.device_id,
         )
 
     def announce_now(self) -> List[bytes]:

@@ -13,14 +13,13 @@ checked on every frame.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import threading
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
-from . import crypto, wire
+from . import wire
 from .manifest import (
     Manifest,
     ManifestError,
@@ -267,17 +266,7 @@ class Receiver:
             return Verdict.REDIRECT_MISMATCH
         if man.status == STATUS_REVOKED:
             return Verdict.REVOKED
-        preimage = wire.announcement_preimage(
-            man.device_id,
-            msg.nonce,
-            msg.timestamp,
-            msg.short_url,
-            msg.att_result,
-            msg.att_timestamp,
-        )
-        if not crypto.verify(
-            man.device_public_key, hashlib.sha256(preimage).digest(), msg.signature
-        ):
+        if not wire.verifies(msg, man.device_public_key, man.device_id):
             return Verdict.BAD_ANNOUNCEMENT_SIGNATURE
         if msg.att_result == 0:
             return Verdict.COMPROMISED

@@ -21,7 +21,6 @@ unknown device.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import random
@@ -217,30 +216,14 @@ class ManufacturerServer:
                 return SyncRejection("unknown_device")
             if req.ts_prev != record.latest_ts:
                 return SyncRejection("timestamp_mismatch")
-            preimage = wire.sync_req_preimage(req.device_id, req.n_dev1, req.ts_prev)
-            if not crypto.verify(
-                record.device_public_key,
-                hashlib.sha256(preimage).digest(),
-                req.signature,
-            ):
+            if not wire.verifies(req, record.device_public_key):
                 return SyncRejection("bad_signature")
             n_svr1 = self._nonces.randbytes(wire.NONCE_LEN)
-            ts_cur = now
             self._sessions[n_svr1] = _PendingSession(
-                device_id=req.device_id, ts_cur=ts_cur, issued_at=now
+                device_id=req.device_id, ts_cur=now, issued_at=now
             )
-            resp_preimage = wire.sync_resp_preimage(
-                req.device_id, req.n_dev1, n_svr1, ts_cur
-            )
-            sig = crypto.sign(
-                self.keys.private_key, hashlib.sha256(resp_preimage).digest()
-            )
-            return wire.SyncResp(
-                device_id=req.device_id,
-                n_dev1=req.n_dev1,
-                n_svr1=n_svr1,
-                ts_cur=ts_cur,
-                signature=sig,
+            return wire.signed(
+                wire.SyncResp, self.keys.private_key, req.device_id, req.n_dev1, n_svr1, now
             )
 
     def handle_sync_ack(self, ack: wire.SyncAck, now: int) -> AckOutcome:
@@ -258,12 +241,7 @@ class ManufacturerServer:
             if ack.ts_prev != session.ts_cur:
                 return AckOutcome(False, "timestamp_mismatch")
             record = self.records[session.device_id]
-            preimage = wire.sync_ack_preimage(
-                ack.device_id, ack.n_dev2, ack.n_svr1, ack.ts_prev
-            )
-            if not crypto.verify(
-                record.device_public_key, hashlib.sha256(preimage).digest(), ack.signature
-            ):
+            if not wire.verifies(ack, record.device_public_key):
                 return AckOutcome(False, "bad_signature")
             # Commit: the session is one-shot.
             del self._sessions[ack.n_svr1]
@@ -342,26 +320,27 @@ class ManufacturerServer:
 
     @classmethod
     def load(cls, store_path: str, session_ttl: int = DEFAULT_SESSION_TTL, nonce_source=None) -> "ManufacturerServer":
-        with open(store_path, "r", encoding="utf-8") as f:
-            text = f.read()
-        # The snapshot is the first JSON document; a store written as one
-        # indented document (an older format) is a snapshot with no journal.
-        doc, end = json.JSONDecoder().raw_decode(text)
-        keys = crypto.KeyPair(
-            private_key=bytes.fromhex(doc["keys"]["private_key"]),
-            public_key=bytes.fromhex(doc["keys"]["public_key"]),
-        )
-        srv = cls(keys, store_path=store_path, session_ttl=session_ttl, nonce_source=nonce_source)
-        for rec in doc["records"]:
-            record = DeviceRecord(
-                device_id=bytes.fromhex(rec["device_id"]),
-                device_public_key=bytes.fromhex(rec["device_public_key"]),
-                latest_ts=rec["latest_ts"],
-                manifest_path=rec["manifest_path"],
+        """Read a store file; an unreadable or malformed one raises ``ServerError``."""
+        try:
+            with open(store_path, "r", encoding="utf-8") as f:
+                text = f.read()
+            # The snapshot is the first JSON document; a store written as one
+            # indented document (an older format) is a snapshot with no journal.
+            doc, end = json.JSONDecoder().raw_decode(text)
+            keys = crypto.KeyPair(
+                private_key=bytes.fromhex(doc["keys"]["private_key"]),
+                public_key=bytes.fromhex(doc["keys"]["public_key"]),
             )
-            srv.records[record.device_id] = record
-        srv.manifests = {p: data.encode("utf-8") for p, data in doc["manifests"].items()}
-        srv.registry = ShortUrlRegistry.from_dict(doc["registry"])
+            srv = cls(keys, store_path=store_path, session_ttl=session_ttl, nonce_source=nonce_source)
+            for rec in doc["records"]:
+                device_id = bytes.fromhex(rec["device_id"])
+                srv.records[device_id] = DeviceRecord(
+                    device_id, bytes.fromhex(rec["device_public_key"]), rec["latest_ts"], rec["manifest_path"]
+                )
+            srv.manifests = {p: data.encode("utf-8") for p, data in doc["manifests"].items()}
+            srv.registry = ShortUrlRegistry.from_dict(doc["registry"])
+        except (OSError, KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ServerError(f"{store_path}: unreadable or malformed snapshot: {exc!r}") from exc
 
         lines = text[end:].lstrip().split("\n")
         lines.pop()  # "" unless the last write was cut short (a torn line)

@@ -10,8 +10,9 @@ A scenario is immutable data. Each section of the document is one frozen
 dataclass whose fields are its only accepted keys (field metadata names the
 JSON key where it differs, and the lower bound); ``_load`` reads every
 section the same way, and each class checks its cross-field rules in
-``__post_init__``. Unknown keys, bad values and directives naming no
-scenario device fail at load time with a ``ScenarioError``.
+``__post_init__``. Unknown keys, values of the wrong JSON type or below
+their minimum, and directives naming no scenario device fail at load time
+with a ``ScenarioError``.
 
 Every run is fully determined by (scenario, seed): all randomness flows from
 one seeded generator owned by the scheduler, and everything a run changes
@@ -20,11 +21,12 @@ fired) lives in its ``Simulation``, so a loaded ``Scenario`` gives the same
 log each time it is run.
 """
 
+import functools
 import hashlib
 import heapq
 import json
 import random
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union, get_args, get_origin
 
 from . import crypto, wire
@@ -213,21 +215,51 @@ class Scenario:
                     )
 
 
+# The JSON values each scalar kind takes, and its name in errors. A bool is
+# also an int to Python, so it is refused apart wherever it is not the kind.
+_SCALARS = {
+    str: ((str,), "a string"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    bool: ((bool,), "true or false"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _keys(cls) -> Dict[str, tuple]:
+    """The fields of section ``cls`` by JSON key, resolved once per class:
+    (field name, kind, many, required, minimum). The kind is a scalar type or
+    a section class, ``Optional[X]`` read as X; ``many`` marks a list of
+    sections (a ``Tuple[Section, ...]`` field)."""
+    table = {}
+    for f in fields(cls):
+        kind = f.type
+        if get_origin(kind) is Union:  # Optional[X]
+            kind = get_args(kind)[0]
+        many = get_origin(kind) is tuple
+        if many:
+            kind = get_args(kind)[0]
+        table[f.metadata.get("key") or f.name] = (
+            f.name, kind, many, f.default is MISSING, f.metadata.get("minimum")
+        )
+    return table
+
+
 def _load(cls, doc, where: str):
     """Read the section ``doc`` into the dataclass ``cls``: each field is one
     key, and an absent or null key takes the field's default."""
     if not isinstance(doc, dict):
         raise ScenarioError(f"{where} must be an object")
-    by_key = {f.metadata.get("key") or f.name: f for f in fields(cls)}
-    unknown = set(doc) - set(by_key)
+    keys = _keys(cls)
+    unknown = doc.keys() - keys.keys()
     if unknown:
         raise ScenarioError(f"unknown key(s) {sorted(unknown)} in {where}")
     values = {}
-    for key, f in by_key.items():
+    for key, (name, kind, many, required, minimum) in keys.items():
         raw = doc.get(key)
         if raw is not None:
-            values[f.name] = _value(f, raw, f"{where}.{key}")
-        elif f.default is MISSING:
+            values[name] = _value(kind, many, minimum, raw, f"{where}.{key}")
+        elif required:
             raise ScenarioError(f"{where}: {key} is required")
     try:
         return cls(**values)
@@ -235,30 +267,22 @@ def _load(cls, doc, where: str):
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
-def _value(f, raw, where: str):
-    """``raw`` as the type of field ``f``: a string, an int, float or bool by
-    conversion and not below its minimum, a section, or a list of sections."""
-    kind = f.type
-    if get_origin(kind) is Union:  # Optional[X]
-        kind = get_args(kind)[0]
-    if kind is str:
-        if not isinstance(raw, str):
-            raise ScenarioError(f"{where} must be a string")
-        return raw
-    if is_dataclass(kind):
+def _value(kind, many: bool, minimum: Optional[int], raw, where: str):
+    """``raw`` as a field of ``kind``: a section, a list of sections, or a
+    scalar of exactly that kind (an integer also as a float) not below
+    ``minimum``."""
+    if many:
+        if not isinstance(raw, list):
+            raise ScenarioError(f"{where} must be a list")
+        return tuple(_load(kind, item, f"{where}[{i}]") for i, item in enumerate(raw))
+    if kind not in _SCALARS:
         return _load(kind, raw, where)
-    try:
-        if kind not in (int, float, bool):  # Tuple[Section, ...]
-            return tuple(_load(get_args(kind)[0], item, f"{where}[{i}]") for i, item in enumerate(raw))
-        value = kind(raw)
-    except ScenarioError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
-    minimum = f.metadata.get("minimum")
-    if minimum is not None and value < minimum:
-        raise ScenarioError(f"{where} must be at least {minimum}, got {value}")
-    return value
+    types, name = _SCALARS[kind]
+    if not isinstance(raw, types) or (isinstance(raw, bool) and kind is not bool):
+        raise ScenarioError(f"{where} must be {name}, got {raw!r}")
+    if minimum is not None and raw < minimum:
+        raise ScenarioError(f"{where} must be at least {minimum}, got {raw}")
+    return kind(raw)
 
 
 def load_scenario(source: Union[str, dict]) -> Scenario:

@@ -8,6 +8,10 @@ identifier in front where the message does not carry it. Every pack rejects
 a bytes field of the wrong width, so each preimage is injective and no
 message encodes to the wrong length.
 
+Signatures are made and checked only here: ``signed`` builds a signed
+message from its fields and ``verifies`` checks one, so what each signature
+covers is decided in one place.
+
 All multi-byte integers inside signed payloads are big-endian (network order).
 802.11 header fields follow the standard's little-endian layout but sit outside
 every signed region, so their values are protocol-neutral constants.
@@ -15,6 +19,7 @@ every signed region, so their values are protocol-neutral constants.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -49,11 +54,8 @@ _SYNC_REQ_SIGNED = f"{_ID}{_NONCE}{_TS}"
 _SYNC_REPLY_SIGNED = f"{_ID}{_NONCE}{_NONCE}{_TS}"
 
 _ANNOUNCEMENT = struct.Struct(f">{_ANNOUNCEMENT_SIGNED}{_SIG}")
-_ANNOUNCEMENT_PREIMAGE = struct.Struct(f">{_ID}{_ANNOUNCEMENT_SIGNED}")
 _SYNC_REQ = struct.Struct(f">{_SYNC_REQ_SIGNED}{_SIG}")
-_SYNC_REQ_PREIMAGE = struct.Struct(f">{_SYNC_REQ_SIGNED}")
 _SYNC_REPLY = struct.Struct(f">{_SYNC_REPLY_SIGNED}{_SIG}")
-_SYNC_REPLY_PREIMAGE = struct.Struct(f">{_SYNC_REPLY_SIGNED}")
 assert _ANNOUNCEMENT.size == ANNOUNCEMENT_LEN
 
 
@@ -136,13 +138,8 @@ def encode_announcement(msg: AnnouncementMsg) -> bytes:
     """Serialize to exactly 116 bytes in declared field order."""
     msg.validate()
     return _pack(
-        _ANNOUNCEMENT,
-        msg.nonce,
-        msg.timestamp,
-        msg.short_url.encode("ascii"),
-        msg.att_result,
-        msg.att_timestamp,
-        msg.signature,
+        _ANNOUNCEMENT, msg.nonce, msg.timestamp, msg.short_url.encode("ascii"),
+        msg.att_result, msg.att_timestamp, msg.signature,
     )
 
 
@@ -159,61 +156,9 @@ def decode_announcement(data: bytes) -> AnnouncementMsg:
         short_url = url_bytes.decode("ascii")
     except UnicodeDecodeError:
         raise AnnouncementParseError("short_url", "short URL is not ASCII") from None
-    msg = AnnouncementMsg(
-        nonce=nonce,
-        timestamp=timestamp,
-        short_url=short_url,
-        att_result=att_result,
-        att_timestamp=att_timestamp,
-        signature=signature,
-    )
+    msg = AnnouncementMsg(nonce, timestamp, short_url, att_result, att_timestamp, signature)
     msg.validate()
     return msg
-
-
-# ---------------------------------------------------------------------------
-# Signed preimages
-# ---------------------------------------------------------------------------
-
-def announcement_preimage(
-    device_id: bytes,
-    nonce: bytes,
-    timestamp: int,
-    short_url: str,
-    att_result: int,
-    att_timestamp: int,
-) -> bytes:
-    """68-byte preimage for the announcement signature.
-
-    The device identifier is signed but never transmitted in the announcement;
-    receivers recover it from the manifest.
-    """
-    return _pack(
-        _ANNOUNCEMENT_PREIMAGE,
-        device_id,
-        nonce,
-        timestamp,
-        short_url.encode("ascii"),
-        att_result,
-        att_timestamp,
-    )
-
-
-def sync_req_preimage(device_id: bytes, n_dev1: bytes, ts_prev: int) -> bytes:
-    """52-byte preimage of the sync request signature.
-
-    Signs ``ts_prev + 1`` while the request transmits ``ts_prev``; the shift
-    keeps a replayed request from ever matching a later epoch.
-    """
-    return _pack(_SYNC_REQ_PREIMAGE, device_id, n_dev1, (ts_prev + 1) & TS_MAX)
-
-
-def sync_resp_preimage(device_id: bytes, n_dev1: bytes, n_svr1: bytes, ts_cur: int) -> bytes:
-    return _pack(_SYNC_REPLY_PREIMAGE, device_id, n_dev1, n_svr1, ts_cur)
-
-
-def sync_ack_preimage(device_id: bytes, n_dev2: bytes, n_svr1: bytes, ts_prev: int) -> bytes:
-    return _pack(_SYNC_REPLY_PREIMAGE, device_id, n_dev2, n_svr1, ts_prev)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +232,50 @@ def decode_sync_message(data: bytes) -> SyncMessage:
         body = "sync request body" if cls is SyncReq else "sync body"
         raise SyncParseError(f"{body} must be {layout.size} bytes")
     return cls(*layout.unpack_from(data, 1))
+
+
+# ---------------------------------------------------------------------------
+# Signatures
+# ---------------------------------------------------------------------------
+
+# The preimage layout of each signed message: its signed fields, with the
+# device identifier in front of the announcement's.
+_PREIMAGES = {
+    AnnouncementMsg: struct.Struct(f">{_ID}{_ANNOUNCEMENT_SIGNED}"),
+    SyncReq: struct.Struct(f">{_SYNC_REQ_SIGNED}"),
+}
+_PREIMAGES[SyncResp] = _PREIMAGES[SyncAck] = struct.Struct(f">{_SYNC_REPLY_SIGNED}")
+
+
+def _digest(cls, fields: tuple, device_id: Optional[bytes]) -> bytes:
+    """SHA-256 of the bytes a ``cls`` signature covers, given every field but
+    the signature.
+
+    The announcement signs the device identifier it never transmits (receivers
+    recover it from the manifest) in front of its fields. The SyncReq signs
+    ``ts_prev + 1`` while it transmits ``ts_prev``, so a replayed request never
+    matches a later epoch.
+    """
+    if cls is AnnouncementMsg:
+        nonce, timestamp, short_url, att_result, att_timestamp = fields
+        fields = (device_id, nonce, timestamp, short_url.encode("ascii"), att_result, att_timestamp)
+    elif cls is SyncReq:  # device_id, n_dev1, ts_prev
+        fields = (fields[0], fields[1], (fields[2] + 1) & TS_MAX)
+    return hashlib.sha256(_pack(_PREIMAGES[cls], *fields)).digest()
+
+
+def signed(cls, private_key: bytes, *fields, device_id: Optional[bytes] = None):
+    """A ``cls`` message of ``fields`` (every field but the signature, in
+    declaration order) signed with ``private_key``; an announcement also signs
+    ``device_id``. A field of the wrong width raises ``ValueError``."""
+    return cls(*fields, crypto.sign(private_key, _digest(cls, fields, device_id)))
+
+
+def verifies(msg, public_key: bytes, device_id: Optional[bytes] = None) -> bool:
+    """Whether ``msg``'s signature is valid under ``public_key``; an
+    announcement is checked against the ``device_id`` it claims to come from."""
+    *fields, signature = vars(msg).values()
+    return crypto.verify(public_key, _digest(type(msg), tuple(fields), device_id), signature)
 
 
 # ---------------------------------------------------------------------------

@@ -317,18 +317,17 @@ def test_criterion_8_timing_shape(rig):
 
         # Attestation cost is linear in image size across 64 KB - 1 MB.
         sizes = [64 * 1024 * k for k in (1, 2, 4, 6, 8, 10, 12, 14, 16)]
-        times = []
-        for size in sizes:
-            image = b"\xA5" * size
+        images = [b"\xA5" * size for size in sizes]
+        for image in images:
             crypto.hash_chunked(image, ATTEST_CHUNK_SIZE)  # warm up
-            # Batch the hashes so per-call timer overhead cannot distort the
-            # small sizes, and keep the least-noise sample.
-            times.append(
-                min(
-                    _timed(lambda: crypto.hash_chunked(image, ATTEST_CHUNK_SIZE), reps=20)
-                    for _ in range(15)
-                )
-            )
+        # Each of 15 rounds times every size once, so host drift lands on all
+        # sizes alike; keep each size's least-noise sample. Batch the hashes
+        # so per-call timer overhead cannot distort the small sizes.
+        times = [float("inf")] * len(sizes)
+        for _ in range(15):
+            for i, image in enumerate(images):
+                sample = _timed(lambda: crypto.hash_chunked(image, ATTEST_CHUNK_SIZE), reps=20)
+                times[i] = min(times[i], sample)
         r = statistics.correlation(sizes, times)
         assert r * r > 0.99, f"attestation fit R^2 = {r * r:.4f}"
 

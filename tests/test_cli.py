@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from paisa import crypto, simnet
+from paisa import crypto, pcapio, simnet
 from paisa.cli import main
 
 SCENARIOS = pathlib.Path(simnet.__file__).parent / "scenarios"
@@ -86,8 +86,6 @@ def test_simulate_prints_summary_and_writes_artifacts(tmp_path, capsys):
     assert "verified" in out and "183" in out
     lines = pathlib.Path(log).read_text().strip().split("\n")
     assert all(json.loads(line) for line in lines)
-    from paisa import pcapio
-
     assert len(pcapio.read_pcap(pcap)) == 183
 
 
@@ -154,6 +152,35 @@ def test_scan_missing_pcap_nonzero_exit(tmp_path, capsys):
     rc = main(["scan", "--input", str(tmp_path / "nope.pcap"), "--store", "irrelevant"])
     assert rc == 1
     assert "cannot read pcap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        (command, content)
+        for command in ("scan", "server", "provision")
+        for content in (None, "{not json", '{"keys": {"private_key": 5}}')
+        if (command, content) != ("provision", None)  # a missing store is created
+    ],
+)
+def test_unloadable_store_fails_cleanly(tmp_path, capsys, command, content):
+    store = tmp_path / "store.json"
+    if content is not None:
+        store.write_text(content)
+    pcap, image = str(tmp_path / "empty.pcap"), tmp_path / "fw.bin"
+    pcapio.write_pcap(pcap, [])
+    image.write_bytes(b"\x00" * 64)
+    argv = {
+        "scan": ["scan", "--input", pcap, "--store", str(store)],
+        "server": ["server", "--store", str(store), "--listen", "127.0.0.1:0"],
+        "provision": [
+            "provision", "--store", str(store), "--id", "07" * 16,
+            "--image", str(image), "--full-url", "https://mfr.example/manifests/x.json",
+        ],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "cannot load store" in err and str(store) in err
 
 
 def free_udp_port():

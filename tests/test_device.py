@@ -42,7 +42,7 @@ def test_reprovision_rejected(rig):
 def test_sync_req_signature_verifies_against_bumped_ts(rig):
     dev = rig["device"]
     req = dev.make_sync_req()
-    preimage = wire.sync_req_preimage(req.device_id, req.n_dev1, req.ts_prev)
+    preimage = req.device_id + req.n_dev1 + (req.ts_prev + 1).to_bytes(4, "big")
     assert crypto.verify(
         dev.trusted.device_keys.public_key,
         hashlib.sha256(preimage).digest(),
@@ -100,14 +100,16 @@ def test_announcement_verifies_end_to_end(rig):
     dev = rig["device"]
     complete_sync(rig["server"], dev, now=100)
     msg = dev.make_announcement()
-    preimage = wire.announcement_preimage(
-        dev.trusted.device_id,
-        msg.nonce,
-        msg.timestamp,
-        msg.short_url,
-        msg.att_result,
-        msg.att_timestamp,
+    # The device id the announcement never carries, then its 52 signed bytes.
+    preimage = (
+        dev.trusted.device_id
+        + msg.nonce
+        + msg.timestamp.to_bytes(4, "big")
+        + msg.short_url.encode("ascii")
+        + bytes((msg.att_result,))
+        + msg.att_timestamp.to_bytes(4, "big")
     )
+    assert wire.encode_announcement(msg)[:52] == preimage[16:]
     assert crypto.verify(
         rig["manifest"].device_public_key,
         hashlib.sha256(preimage).digest(),

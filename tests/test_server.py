@@ -204,7 +204,7 @@ def test_sync_resp_signature_binds_all_fields(rig):
     dev, server = rig["device"], rig["server"]
     req = dev.make_sync_req()
     resp = server.handle_sync_req(req, now=40)
-    preimage = wire.sync_resp_preimage(resp.device_id, resp.n_dev1, resp.n_svr1, resp.ts_cur)
+    preimage = resp.device_id + resp.n_dev1 + resp.n_svr1 + resp.ts_cur.to_bytes(4, "big")
     assert crypto.verify(
         server.keys.public_key, hashlib.sha256(preimage).digest(), resp.signature
     )

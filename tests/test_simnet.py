@@ -109,6 +109,17 @@ def one_device(**fields):
         {"adversary": {"drop": [{"link": "device->server", "delay": 1}]}},
         {"adversary": {"tamper": [{"link": "device->server", "flip_bit": 1, "delay": 1}]}},
         {"adversary": {"tamper": [{"link": "device->server"}]}},
+        # Scalars are checked, not converted: an int is a JSON integer and not
+        # a bool, a float any number but a bool, a bool only true or false.
+        {"horizon": 7.9},
+        {"horizon": "60"},
+        {"devices": one_device(t_announce=True)},
+        {"devices": one_device(sw_size=False)},
+        {"adversary": {"drop": [{"link": "device->receiver", "probability": "0.5"}]}},
+        {"adversary": {"drop": [{"link": "device->receiver", "probability": True}]}},
+        {"adversary": {"compromise": [{"device": "a", "at": 5, "busy_loop": "false"}]}},
+        {"adversary": {"compromise": [{"device": "a", "at": 5, "busy_loop": 0}]}},
+        {"devices": {"name": "a"}},
     ],
 )
 def test_malformed_value_is_a_scenario_error(overrides):
@@ -190,8 +201,10 @@ def test_honest_counts_match_schedule():
 
 def test_full_drop_silences_receiver():
     doc = base_doc(
-        adversary={"drop": [{"link": "device->receiver", "probability": 1.0}]}
+        # An integer is a number: it loads as the float 1.0.
+        adversary={"drop": [{"link": "device->receiver", "probability": 1}]}
     )
+    assert simnet.load_scenario(doc).adversary.drop[0].probability == 1.0
     result = simnet.run_scenario(doc)
     assert simnet.summarize_verdicts(result.log) == {}
     assert any(e["event"] == "drop" for e in result.log)

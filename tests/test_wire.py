@@ -1,11 +1,13 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paisa import wire
+from paisa import crypto, wire
 
 URL = "AAAAAAAAAAA"
+KEYS = crypto.generate_keypair(b"\x07" * 32)
 
 
 def make_msg(**overrides):
@@ -158,20 +160,40 @@ def test_decode_beacon_mutated_real_frames_total():
         assert isinstance(wire.decode_beacon(bytes(buf)).verdict, wire.BeaconVerdict)
 
 
+def signs(msg, preimage: bytes) -> bool:
+    """Whether ``msg``'s signature is over ``preimage``, checked without ``wire``."""
+    return crypto.verify(KEYS.public_key, hashlib.sha256(preimage).digest(), msg.signature)
+
+
+def ts(n: int) -> bytes:
+    return n.to_bytes(4, "big")
+
+
 def test_preimage_widths():
-    assert len(
-        wire.announcement_preimage(b"\x01" * 16, b"\x02" * 32, 5, URL, 1, 4)
-    ) == 68
-    assert len(wire.sync_req_preimage(b"\x01" * 16, b"\x02" * 32, 7)) == 52
-    assert len(wire.sync_resp_preimage(b"\x01" * 16, b"\x02" * 32, b"\x03" * 32, 7)) == 84
-    assert len(wire.sync_ack_preimage(b"\x01" * 16, b"\x02" * 32, b"\x03" * 32, 7)) == 84
+    dev, n1, n2, key = b"\x01" * 16, b"\x02" * 32, b"\x03" * 32, KEYS.private_key
+    cases = [
+        (
+            wire.signed(wire.AnnouncementMsg, key, n1, 5, URL, 1, 4, device_id=dev),
+            dev + n1 + ts(5) + URL.encode("ascii") + b"\x01" + ts(4),
+            68,
+        ),
+        (wire.signed(wire.SyncReq, key, dev, n1, 7), dev + n1 + ts(8), 52),
+        (wire.signed(wire.SyncResp, key, dev, n1, n2, 7), dev + n1 + n2 + ts(7), 84),
+        (wire.signed(wire.SyncAck, key, dev, n1, n2, 7), dev + n1 + n2 + ts(7), 84),
+    ]
+    for msg, preimage, width in cases:
+        assert len(preimage) == width
+        assert signs(msg, preimage)
+        assert wire.verifies(msg, KEYS.public_key, dev)
 
 
 def test_sync_req_preimage_signs_bumped_timestamp():
-    a = wire.sync_req_preimage(b"\x01" * 16, b"\x02" * 32, 100)
-    b = wire.sync_req_preimage(b"\x01" * 16, b"\x02" * 32, 101)
-    assert a[-4:] == (101).to_bytes(4, "big")
-    assert b[-4:] == (102).to_bytes(4, "big")
+    dev, n1 = b"\x01" * 16, b"\x02" * 32
+    for ts_prev, bumped in ((100, 101), (101, 102), (wire.TS_MAX, 0)):
+        req = wire.signed(wire.SyncReq, KEYS.private_key, dev, n1, ts_prev)
+        assert req.ts_prev == ts_prev
+        assert signs(req, dev + n1 + ts(bumped))
+        assert not signs(req, dev + n1 + ts(ts_prev))
 
 
 def test_sync_message_roundtrips():
@@ -201,14 +223,36 @@ SYNC_FIELDS = {
     wire.SyncResp: [ID, NONCE, NONCE, TS, SIG],
     wire.SyncAck: [ID, NONCE, NONCE, TS, SIG],
 }
+# Each signed message and a strategy per signed field; an announcement's
+# device_id, which it signs but does not carry, is drawn first.
+SIGNATURES = {
+    "announcement_preimage": (
+        wire.AnnouncementMsg, [ID, NONCE, TS, SHORT_URL, st.integers(0, 1), TS]
+    ),
+    "sync_req_preimage": (wire.SyncReq, [ID, NONCE, TS]),
+    "sync_resp_preimage": (wire.SyncResp, [ID, NONCE, NONCE, TS]),
+    "sync_ack_preimage": (wire.SyncAck, [ID, NONCE, NONCE, TS]),
+}
+
+
+def sign(cls, *fields):
+    if cls is wire.AnnouncementMsg:
+        return wire.signed(cls, KEYS.private_key, *fields[1:], device_id=fields[0])
+    return wire.signed(cls, KEYS.private_key, *fields)
+
+
+def verifies(cls, fields, signature) -> bool:
+    if cls is wire.AnnouncementMsg:
+        return wire.verifies(cls(*fields[1:], signature), KEYS.public_key, fields[0])
+    return wire.verifies(cls(*fields, signature), KEYS.public_key)
+
+
 # Every signed layout: what packs it, and a strategy per field.
 SIGNED_LAYOUTS = {
-    "announcement_preimage": (
-        wire.announcement_preimage, [ID, NONCE, TS, SHORT_URL, st.integers(0, 1), TS]
-    ),
-    "sync_req_preimage": (wire.sync_req_preimage, [ID, NONCE, TS]),
-    "sync_resp_preimage": (wire.sync_resp_preimage, [ID, NONCE, NONCE, TS]),
-    "sync_ack_preimage": (wire.sync_ack_preimage, [ID, NONCE, NONCE, TS]),
+    **{
+        name: (lambda *f, cls=cls: sign(cls, *f), fields)
+        for name, (cls, fields) in SIGNATURES.items()
+    },
     **{
         cls.__name__: (lambda *f, cls=cls: wire.encode_sync_message(cls(*f)), fields)
         for cls, fields in SYNC_FIELDS.items()
@@ -231,11 +275,17 @@ def test_signed_layout_rejects_a_field_one_byte_off(layout, data):
 @pytest.mark.parametrize("layout", SIGNED_LAYOUTS)
 @given(data=st.data())
 def test_signed_layout_is_injective(layout, data):
+    """Changing any one field changes the encoding; for a signature, it makes
+    ``verifies`` False (for an announcement, changing its device_id too)."""
     pack, strategies = SIGNED_LAYOUTS[layout]
     fields = data.draw(st.tuples(*strategies))
     i = data.draw(st.integers(0, len(fields) - 1))
     other = (*fields[:i], data.draw(strategies[i]), *fields[i + 1 :])
-    assert (pack(*fields) == pack(*other)) == (fields == other)
+    if layout in SIGNATURES:
+        cls = SIGNATURES[layout][0]
+        assert verifies(cls, other, pack(*fields).signature) == (fields == other)
+    else:
+        assert (pack(*fields) == pack(*other)) == (fields == other)
 
 
 @pytest.mark.parametrize("cls", SYNC_FIELDS, ids=lambda c: c.__name__)
