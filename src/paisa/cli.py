@@ -69,7 +69,11 @@ def cmd_provision(args: argparse.Namespace) -> int:
         if server is None:
             return 1
     else:
-        keys = crypto.load_keypair(_key_path(args.mfr_keys, "paisa.key"))
+        try:
+            keys = crypto.load_keypair(_key_path(args.mfr_keys, "paisa.key"))
+        except (OSError, ValueError) as exc:  # ValueError includes CryptoError
+            print(f"cannot load manufacturer keys: {exc}", file=sys.stderr)
+            return 1
         server = ManufacturerServer(keys, store_path=args.store)
     device = Device()
     device_id = bytes.fromhex(args.id)

@@ -9,12 +9,18 @@ report summary built once per receiver; a change of the manifest bytes (a
 re-sign or a revocation) is seen within one fetch TTL. Pinning, the URL
 binding, the revocation status and the announcement signature are still
 checked on every frame.
+
+Each distinct frame is decoded, and its announcement signature verified under
+a given device key, once per memo: a bounded ``OrderedDict`` that a receiver
+owns, or that a simulation shares among its receivers. Both are pure
+functions keyed by their full input, so a forged or tampered frame is a
+different key.
 """
 
 from __future__ import annotations
 
 import json
-import threading
+from collections import OrderedDict
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
@@ -168,15 +174,40 @@ class PresenceReport:
         return json.dumps(doc, sort_keys=True)
 
 
-class Receiver:
-    """Verifies frames against manifests; safe for concurrent process_frame calls."""
+MEMO_SIZE = 4096  # entries; a frame takes one for its decode, one per verify
+_MISS = object()
 
-    def __init__(self, cfg: ReceiverConfig, clock: Callable[[], int]):
+
+def _memoised(memo: OrderedDict, key, fn, *args):
+    """``fn(*args)``, computed once per ``key`` while the key stays in ``memo``.
+
+    The memo holds at most ``MEMO_SIZE`` entries and evicts the oldest first.
+    ``key`` must determine ``fn(*args)``, and the value must be immutable.
+    An ``OrderedDict`` drops its oldest key in O(1); a plain dict rescans the
+    slots deleted before it, about ten times slower per evicting insert.
+    """
+    value = memo.get(key, _MISS)
+    if value is _MISS:
+        value = fn(*args)
+        if len(memo) >= MEMO_SIZE:
+            memo.popitem(last=False)
+        memo[key] = value
+    return value
+
+
+class Receiver:
+    """Verifies frames against manifests, one process_frame call at a time.
+
+    ``memo`` caches frame decodes and announcement verifies; receivers may
+    share one, but not across threads. Without one the receiver makes its own.
+    """
+
+    def __init__(self, cfg: ReceiverConfig, clock: Callable[[], int], memo: Optional[OrderedDict] = None):
         if cfg.manifest_fetcher is None:
             raise ValueError("receiver needs a manifest fetcher")
         self.cfg = cfg
         self.clock = clock
-        self._lock = threading.Lock()
+        self._memo = OrderedDict() if memo is None else memo
         self._manifest_cache: Dict[str, _CachedManifest] = {}
         self._recent_sigs: Dict[bytes, int] = {}
 
@@ -188,8 +219,7 @@ class Receiver:
         A refetch that returns the same bytes keeps the earlier parse,
         signature outcome and summary; new bytes are parsed and verified again.
         """
-        with self._lock:
-            cached = self._manifest_cache.get(short_url)
+        cached = self._manifest_cache.get(short_url)
         if cached is not None and now - cached.fetched_at <= self.cfg.epsilon:
             return cached
         fetched = self.cfg.manifest_fetcher.fetch(short_url)
@@ -197,20 +227,18 @@ class Receiver:
             entry = cached._replace(fetched_at=now, fetched=fetched)
         else:
             entry = _parse_manifest(now, fetched)
-        with self._lock:
-            self._manifest_cache[short_url] = entry
+        self._manifest_cache[short_url] = entry
         return entry
 
     def _is_duplicate(self, signature: bytes, now: int) -> bool:
-        with self._lock:
-            last = self._recent_sigs.get(signature)
-            self._recent_sigs[signature] = now
-            if len(self._recent_sigs) > 10000:
-                cutoff = now - self.cfg.epsilon
-                self._recent_sigs = {
-                    s: t for s, t in self._recent_sigs.items() if t >= cutoff
-                }
-            return last is not None and now - last <= self.cfg.epsilon
+        last = self._recent_sigs.get(signature)
+        self._recent_sigs[signature] = now
+        if len(self._recent_sigs) > 10000:
+            cutoff = now - self.cfg.epsilon
+            self._recent_sigs = {
+                s: t for s, t in self._recent_sigs.items() if t >= cutoff
+            }
+        return last is not None and now - last <= self.cfg.epsilon
 
     # -- pipeline -----------------------------------------------------------
 
@@ -220,7 +248,10 @@ class Receiver:
         Returns a PresenceReport for announcement-carrying frames, or the
         BeaconDecode verdict for everything else.
         """
-        decoded = wire.decode_beacon(frame)
+        frame = bytes(frame)  # a memo key; the same object when already bytes
+        # wire.decode_beacon is looked up per call, so a tracer that wraps it
+        # still sees every miss; the same holds for wire.verifies below.
+        decoded = _memoised(self._memo, frame, wire.decode_beacon, frame)
         if decoded.verdict is not wire.BeaconVerdict.OK:
             return decoded
         msg = decoded.msg
@@ -249,9 +280,9 @@ class Receiver:
             cached = self._fetch_manifest(msg.short_url, now)
         except FetchError:
             return report(Verdict.FETCH_ERROR)
-        return report(self._verdict(cached, msg), cached)
+        return report(self._verdict(cached, msg, frame), cached)
 
-    def _verdict(self, cached: _CachedManifest, msg: wire.AnnouncementMsg) -> Verdict:
+    def _verdict(self, cached: _CachedManifest, msg: wire.AnnouncementMsg, frame: bytes) -> Verdict:
         """The manifest stages, then the announcement signature under the device
         key the manifest vouches for; pinning per frame, as the pinned set may change."""
         man = cached.manifest
@@ -266,7 +297,8 @@ class Receiver:
             return Verdict.REDIRECT_MISMATCH
         if man.status == STATUS_REVOKED:
             return Verdict.REVOKED
-        if not wire.verifies(msg, man.device_public_key, man.device_id):
+        pk, device_id = man.device_public_key, man.device_id
+        if not _memoised(self._memo, (frame, pk, device_id), wire.verifies, msg, pk, device_id):
             return Verdict.BAD_ANNOUNCEMENT_SIGNATURE
         if msg.att_result == 0:
             return Verdict.COMPROMISED

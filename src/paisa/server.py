@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import os
 import random
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
@@ -108,7 +107,10 @@ class DeviceDescription:
 
 
 class ManufacturerServer:
-    """Holds the signing key, the device map, the registry, and hosted manifests."""
+    """Holds the signing key, the device map, the registry, and hosted manifests.
+
+    Not thread-safe: one caller drives it, as ``paisa server``'s loop does.
+    """
 
     def __init__(
         self,
@@ -126,7 +128,6 @@ class ManufacturerServer:
         self.registry = ShortUrlRegistry()
         # Pending sessions in issue order, so the expired ones lead.
         self._sessions: "OrderedDict[bytes, _PendingSession]" = OrderedDict()
-        self._lock = threading.Lock()
         # The store path whose snapshot this server wrote or loaded, and the
         # journal lines after that snapshot. Commits append only there.
         self._snapshot_path: Optional[str] = None
@@ -151,41 +152,40 @@ class ManufacturerServer:
         short URL, provision the device (which returns its public key), build
         and sign the manifest, and store the device record.
         """
-        with self._lock:
-            if device_id in self.records:
-                raise ServerError(f"duplicate device_id {device_id.hex()}")
-            desc = description if description is not None else DeviceDescription()
-            short_url = self.registry.shorten(full_url)
-            device_pk = device.provision(
-                device_id=device_id,
-                sw_dev=sw_dev,
-                mfr_public_key=self.keys.public_key,
-                short_url=short_url,
-                full_url=full_url,
-                ts_cur=ts_cur,
-                timer_config=timer_config,
-                key_seed=key_seed,
-            )
-            man = Manifest(
-                **vars(desc),
-                device_id=device_id,
-                sw_hash=crypto.hash_chunked(sw_dev, ATTEST_CHUNK_SIZE),
-                device_public_key=device_pk,
-                full_url=full_url,
-                status=STATUS_ACTIVE,
-            )
-            man = sign_manifest(man, self.keys)
-            path = hosted_path(full_url)
-            self.manifests[path] = manifest_to_json(man)
-            record = DeviceRecord(
-                device_id=device_id,
-                device_public_key=device_pk,
-                latest_ts=ts_cur,
-                manifest_path=path,
-            )
-            self.records[device_id] = record
-            self._persist()
-            return man, record
+        if device_id in self.records:
+            raise ServerError(f"duplicate device_id {device_id.hex()}")
+        desc = description if description is not None else DeviceDescription()
+        short_url = self.registry.shorten(full_url)
+        device_pk = device.provision(
+            device_id=device_id,
+            sw_dev=sw_dev,
+            mfr_public_key=self.keys.public_key,
+            short_url=short_url,
+            full_url=full_url,
+            ts_cur=ts_cur,
+            timer_config=timer_config,
+            key_seed=key_seed,
+        )
+        man = Manifest(
+            **vars(desc),
+            device_id=device_id,
+            sw_hash=crypto.hash_chunked(sw_dev, ATTEST_CHUNK_SIZE),
+            device_public_key=device_pk,
+            full_url=full_url,
+            status=STATUS_ACTIVE,
+        )
+        man = sign_manifest(man, self.keys)
+        path = hosted_path(full_url)
+        self.manifests[path] = manifest_to_json(man)
+        record = DeviceRecord(
+            device_id=device_id,
+            device_public_key=device_pk,
+            latest_ts=ts_cur,
+            manifest_path=path,
+        )
+        self.records[device_id] = record
+        self._persist()
+        return man, record
 
     def serve_manifest(self, path: str) -> Optional[bytes]:
         """The stored manifest document, byte-identical to the signed artifact."""
@@ -209,45 +209,43 @@ class ManufacturerServer:
         self, req: wire.SyncReq, now: int
     ) -> Union[wire.SyncResp, SyncRejection]:
         """Answer a sync request, or reject it without touching any record."""
-        with self._lock:
-            self._expire_sessions(now)
-            record = self.records.get(req.device_id)
-            if record is None:
-                return SyncRejection("unknown_device")
-            if req.ts_prev != record.latest_ts:
-                return SyncRejection("timestamp_mismatch")
-            if not wire.verifies(req, record.device_public_key):
-                return SyncRejection("bad_signature")
-            n_svr1 = self._nonces.randbytes(wire.NONCE_LEN)
-            self._sessions[n_svr1] = _PendingSession(
-                device_id=req.device_id, ts_cur=now, issued_at=now
-            )
-            return wire.signed(
-                wire.SyncResp, self.keys.private_key, req.device_id, req.n_dev1, n_svr1, now
-            )
+        self._expire_sessions(now)
+        record = self.records.get(req.device_id)
+        if record is None:
+            return SyncRejection("unknown_device")
+        if req.ts_prev != record.latest_ts:
+            return SyncRejection("timestamp_mismatch")
+        if not wire.verifies(req, record.device_public_key):
+            return SyncRejection("bad_signature")
+        n_svr1 = self._nonces.randbytes(wire.NONCE_LEN)
+        self._sessions[n_svr1] = _PendingSession(
+            device_id=req.device_id, ts_cur=now, issued_at=now
+        )
+        return wire.signed(
+            wire.SyncResp, self.keys.private_key, req.device_id, req.n_dev1, n_svr1, now
+        )
 
     def handle_sync_ack(self, ack: wire.SyncAck, now: int) -> AckOutcome:
         """Commit the synced timestamp iff the ack closes a pending session."""
-        with self._lock:
-            self._expire_sessions(now)
-            session = self._sessions.get(ack.n_svr1)
-            if session is not None and self._expired(session, now):
-                del self._sessions[ack.n_svr1]
-                session = None
-            if session is None:
-                return AckOutcome(False, "unknown_session")
-            if ack.device_id != session.device_id:
-                return AckOutcome(False, "device_mismatch")
-            if ack.ts_prev != session.ts_cur:
-                return AckOutcome(False, "timestamp_mismatch")
-            record = self.records[session.device_id]
-            if not wire.verifies(ack, record.device_public_key):
-                return AckOutcome(False, "bad_signature")
-            # Commit: the session is one-shot.
+        self._expire_sessions(now)
+        session = self._sessions.get(ack.n_svr1)
+        if session is not None and self._expired(session, now):
             del self._sessions[ack.n_svr1]
-            record.latest_ts = max(record.latest_ts, ack.ts_prev)
-            self._commit(record)
-            return AckOutcome(True)
+            session = None
+        if session is None:
+            return AckOutcome(False, "unknown_session")
+        if ack.device_id != session.device_id:
+            return AckOutcome(False, "device_mismatch")
+        if ack.ts_prev != session.ts_cur:
+            return AckOutcome(False, "timestamp_mismatch")
+        record = self.records[session.device_id]
+        if not wire.verifies(ack, record.device_public_key):
+            return AckOutcome(False, "bad_signature")
+        # Commit: the session is one-shot.
+        del self._sessions[ack.n_svr1]
+        record.latest_ts = max(record.latest_ts, ack.ts_prev)
+        self._commit(record)
+        return AckOutcome(True)
 
     def handle_datagram(self, data: bytes, now: int) -> DatagramOutcome:
         """Decode one sync datagram, answer it, and encode the reply. Events:
@@ -334,6 +332,8 @@ class ManufacturerServer:
             srv = cls(keys, store_path=store_path, session_ttl=session_ttl, nonce_source=nonce_source)
             for rec in doc["records"]:
                 device_id = bytes.fromhex(rec["device_id"])
+                if type(rec["latest_ts"]) is not int:
+                    raise ServerError(f"{store_path}: record {rec['device_id']} has no integer latest_ts")
                 srv.records[device_id] = DeviceRecord(
                     device_id, bytes.fromhex(rec["device_public_key"]), rec["latest_ts"], rec["manifest_path"]
                 )

@@ -26,6 +26,7 @@ import hashlib
 import heapq
 import json
 import random
+from collections import OrderedDict
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union, get_args, get_origin
 
@@ -368,8 +369,10 @@ class Simulation:
         )
         # The clock is captured rather than self: a cycle through self would
         # keep a finished simulation alive until a full garbage collection.
+        # One memo for all receivers: each broadcast is decoded and verified once.
+        memo: OrderedDict = OrderedDict()
         self.receivers = [
-            Receiver(cfg, clock=lambda clock=self.clock: clock.now)
+            Receiver(cfg, clock=lambda clock=self.clock: clock.now, memo=memo)
             for _ in range(scenario.receivers)
         ]
 

@@ -183,6 +183,21 @@ def test_unloadable_store_fails_cleanly(tmp_path, capsys, command, content):
     assert "cannot load store" in err and str(store) in err
 
 
+@pytest.mark.parametrize("key_content", [None, "00" * 32 + "\n"], ids=["missing", "one_line"])
+def test_provision_with_unloadable_mfr_keys_fails_cleanly(tmp_path, capsys, key_content):
+    keyfile, image = tmp_path / "mfr.key", tmp_path / "fw.bin"
+    if key_content is not None:
+        keyfile.write_text(key_content)
+    image.write_bytes(b"\x00" * 64)
+    rc = main([
+        "provision", "--store", str(tmp_path / "store.json"), "--mfr-keys", str(keyfile),
+        "--id", "07" * 16, "--image", str(image), "--full-url", "https://mfr.example/manifests/x.json",
+    ])
+    assert rc == 1
+    assert "cannot load manufacturer keys" in capsys.readouterr().err
+    assert not (tmp_path / "store.json").exists()
+
+
 def free_udp_port():
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
         sock.bind(("127.0.0.1", 0))

@@ -1,10 +1,13 @@
 import dataclasses
 import json
 import random
+from collections import OrderedDict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from paisa import wire
+import paisa.receiver as receiver_mod
+from paisa import crypto, wire
 from paisa.manifest import manifest_from_json, manifest_to_json, sign_manifest
 from paisa.receiver import (
     DedupeEntry,
@@ -434,3 +437,97 @@ def test_unencodable_manifest_string_is_bad_manifest_signature(rig):
     hosted["/manifests/rig.json"] = json.dumps(doc).encode()
     receiver, _, _ = make_receiver(rig, now=1000)
     assert receiver.process_frame(frame).verdict is Verdict.BAD_MANIFEST_SIGNATURE
+
+
+# -- the decode and verify memo -----------------------------------------------
+
+PAYLOAD_START = wire.BEACON_FRAME_LEN - wire.ANNOUNCEMENT_LEN
+
+
+def memo_receiver(rig, memo, now=1000):
+    fetcher = RegistryFetcher(rig["server"].registry, rig["server"].serve_manifest)
+    return Receiver(ReceiverConfig(manifest_fetcher=fetcher), FakeClock(now), memo=memo)
+
+
+def test_memo_never_verifies_a_flipped_payload_bit(rig):
+    frame = synced_frame(rig, now=1000)
+    memo = OrderedDict()
+    receiver = memo_receiver(rig, memo)
+    assert receiver.process_frame(frame).verdict is Verdict.VERIFIED
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, wire.ANNOUNCEMENT_LEN * 8 - 1))
+    def flipped_never_verifies(bit):
+        buf = bytearray(frame)
+        buf[PAYLOAD_START + bit // 8] ^= 1 << (bit % 8)
+        out = receiver.process_frame(bytes(buf))
+        assert not isinstance(out, PresenceReport) or out.verdict is not Verdict.VERIFIED
+        assert receiver.process_frame(frame).verdict is Verdict.VERIFIED
+
+    flipped_never_verifies()
+
+
+def test_memo_rechecks_a_frame_under_a_new_device_key(rig):
+    frame = synced_frame(rig, now=1000)
+    memo = OrderedDict()
+    assert memo_receiver(rig, memo).process_frame(frame).verdict is Verdict.VERIFIED
+    # The manufacturer re-provisions the device under a new key: its manifest
+    # now vouches for that key, so the old frame no longer verifies.
+    server = rig["server"]
+    man = manifest_from_json(server.serve_manifest("/manifests/rig.json"))
+    new_key = crypto.generate_keypair(b"\x44" * 32).public_key
+    resigned = sign_manifest(dataclasses.replace(man, device_public_key=new_key), server.keys)
+    server.manifests["/manifests/rig.json"] = manifest_to_json(resigned)
+    rep = memo_receiver(rig, memo).process_frame(frame)
+    assert rep.verdict is Verdict.BAD_ANNOUNCEMENT_SIGNATURE
+
+
+def test_memo_is_bounded_and_evicts_the_oldest_first(rig, monkeypatch):
+    junk = [i.to_bytes(4, "big") * 60 for i in range(receiver_mod.MEMO_SIZE + 10)]
+    memo = OrderedDict()
+    receiver = memo_receiver(rig, memo)
+    for frame in junk:
+        receiver.process_frame(frame)
+        assert len(memo) <= receiver_mod.MEMO_SIZE
+    assert list(memo) == junk[10:]
+
+    monkeypatch.setattr(receiver_mod, "MEMO_SIZE", 3)
+    frame = synced_frame(rig, now=1000)
+    memo.clear()
+    for data in junk[:2] + [frame]:
+        receiver.process_frame(data)
+    # A verified frame takes one entry for its decode, then one for its verify.
+    assert list(memo)[:2] == [junk[1], frame] and list(memo.values())[2] is True
+
+
+def test_memo_takes_any_bytes_like_frame(rig):
+    frame = synced_frame(rig, now=1000)
+    memo = OrderedDict()
+    receiver = memo_receiver(rig, memo)
+    outs = [receiver.process_frame(d) for d in (bytearray(frame), memoryview(frame), bytearray(240))]
+    assert [o.verdict for o in outs] == [Verdict.VERIFIED] * 2 + [wire.BeaconVerdict.NON_BEACON]
+    assert list(memo)[0] == frame and len(memo) == 3
+
+
+def test_memo_decodes_and_verifies_a_repeated_frame_once(rig, monkeypatch):
+    frame = synced_frame(rig, now=1000)
+    calls = {"decode": 0, "verifies": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(wire, "decode_beacon", counted("decode", wire.decode_beacon))
+    monkeypatch.setattr(wire, "verifies", counted("verifies", wire.verifies))
+    memo = OrderedDict()
+    first, second = memo_receiver(rig, memo), memo_receiver(rig, memo)
+    reports = [r.process_frame(frame) for r in (first, second, first)]
+    assert [r.verdict for r in reports] == [Verdict.VERIFIED] * 3
+    assert [r.duplicate for r in reports] == [False, False, True]
+    assert calls == {"decode": 1, "verifies": 1}
+    # A receiver without a memo makes its own.
+    make_receiver(rig, now=1000)[0].process_frame(frame)
+    assert calls == {"decode": 2, "verifies": 2}

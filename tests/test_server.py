@@ -324,6 +324,20 @@ def test_store_rejects_a_corrupt_terminated_line(tmp_path, line):
         ManufacturerServer.load(store)
 
 
+@pytest.mark.parametrize("latest_ts", ["5", 5.0, None, True], ids=["str", "float", "null", "bool"])
+def test_store_rejects_a_snapshot_record_without_integer_latest_ts(tmp_path, latest_ts):
+    store = str(tmp_path / "server.json")
+    _store_rig(store, n=2)
+    with open(store, encoding="utf-8") as f:
+        doc = json.loads(f.readline())
+    doc["records"][1]["latest_ts"] = latest_ts
+    with open(store, "w", encoding="utf-8") as f:
+        f.write(json.dumps(doc) + "\n")
+    with pytest.raises(ServerError, match="latest_ts") as exc:
+        ManufacturerServer.load(store)
+    assert store in str(exc.value)
+
+
 def test_store_in_indented_single_document_format_loads_unchanged(tmp_path):
     store = str(tmp_path / "server.json")
     server, devices = _store_rig(store, n=2)

@@ -6,7 +6,8 @@ import weakref
 
 import pytest
 
-from paisa import simnet
+from paisa import crypto, simnet, wire
+from paisa.receiver import Receiver
 
 SCENARIOS = pathlib.Path(simnet.__file__).parent / "scenarios"
 
@@ -425,3 +426,41 @@ def test_tamper_sync_discards_then_syncs():
     assert ("server_discard", "sync body must be 148 bytes") in events
     assert ("device_discard", "unexpected_message") in events
     assert ("sync_commit", None) in events
+
+
+# -- the receivers' shared decode and verify memo ----------------------------
+
+THREE_RECEIVERS = base_doc(
+    seed=3,
+    receivers=3,
+    devices=[
+        {"name": "a", "t_announce": 10, "t_attest": 10, "sw_size": 4096},
+        {"name": "b", "t_announce": 5, "t_attest": 10, "sw_size": 4096},
+    ],
+    adversary={"replay": [{"device": "a", "capture_time": 20, "inject_at": 23}]},
+)
+
+
+def test_shared_memo_verifies_each_broadcast_once_with_the_same_flags(monkeypatch):
+    verified = []
+    real_verify = crypto.verify
+
+    def counted(pk, digest, sig):
+        verified.append(sig)
+        return real_verify(pk, digest, sig)
+
+    monkeypatch.setattr(crypto, "verify", counted)
+    shared = simnet.run_scenario(THREE_RECEIVERS)
+    broadcast = [wire.decode_beacon(f).msg.signature for _, f in shared.beacon_frames]
+    assert len(set(broadcast)) == len(broadcast) > 10
+    assert sorted(s for s in verified if s in set(broadcast)) == sorted(broadcast)
+
+    monkeypatch.setattr(simnet, "Receiver", lambda cfg, clock, memo: Receiver(cfg, clock))
+    apart = simnet.run_scenario(THREE_RECEIVERS)
+    flags = [
+        [(e["receiver"], e["verdict"], e["duplicate"]) for e in result.log if e["event"] == "verdict"]
+        for result in (shared, apart)
+    ]
+    assert flags[0] == flags[1]
+    assert sum(dup for _, _, dup in flags[0]) == 3  # the replay, at each receiver
+    assert shared.log_ndjson() == apart.log_ndjson()
