@@ -153,10 +153,15 @@ def save_keypair(path: str, keys: KeyPair) -> None:
 
 
 def load_keypair(path: str) -> KeyPair:
+    """Read a ``save_keypair`` file; the public point must be the private
+    scalar's, or ``CryptoError``."""
     with open(path, "r", encoding="ascii") as f:
         lines = [ln.strip() for ln in f if ln.strip()]
     if len(lines) != 2:
         raise CryptoError(f"key file {path!r} must hold two hex lines")
-    return KeyPair(
+    keys = KeyPair(
         private_key=bytes.fromhex(lines[0]), public_key=bytes.fromhex(lines[1])
     )
+    if _scalar_to_keypair(int.from_bytes(keys.private_key, "big")) != keys:
+        raise CryptoError(f"key file {path!r}: the public key is not the private key's")
+    return keys

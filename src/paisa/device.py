@@ -110,8 +110,10 @@ class Device:
         ts_cur: int,
         timer_config: TimerConfig,
         key_seed: Optional[bytes] = None,
-    ) -> bytes:
-        """Install software and trusted state; returns the new device public key.
+    ) -> Tuple[bytes, bytes]:
+        """Install software and trusted state; returns the new device public
+        key and the installed image's measurement, which the manufacturer
+        signs into the manifest as its ``sw_hash``.
 
         The keypair is generated inside the device; only the public half is
         ever output.
@@ -119,10 +121,11 @@ class Device:
         if self.trusted is not None:
             raise DeviceError("device is already provisioned")
         keys = crypto.generate_keypair(key_seed)
+        sw_hash = crypto.hash_chunked(sw_dev, ATTEST_CHUNK_SIZE)
         self._install(
             TrustedState(
                 device_id=device_id,
-                sw_hash_expected=crypto.hash_chunked(sw_dev, ATTEST_CHUNK_SIZE),
+                sw_hash_expected=sw_hash,
                 mfr_public_key=mfr_public_key,
                 short_url=short_url,
                 full_url=full_url,
@@ -132,7 +135,7 @@ class Device:
             ),
             sw_dev,
         )
-        return keys.public_key
+        return keys.public_key, sw_hash
 
     def _install(self, state: TrustedState, sw_dev: bytes) -> None:
         if len(state.device_id) != wire.DEVICE_ID_LEN:

@@ -178,8 +178,9 @@ class ShortUrlRegistry:
             chars.append(_B62_ALPHABET[rem])
         return "".join(chars)
 
-    def shorten(self, full_url: str) -> str:
-        """Return the 11-char key for ``full_url``; idempotent per URL."""
+    def key_for(self, full_url: str) -> str:
+        """The key of ``full_url``: its registered one, else the first
+        candidate that is not taken. Registers nothing."""
         existing = self._by_url.get(full_url)
         if existing is not None:
             return existing
@@ -188,8 +189,24 @@ class ShortUrlRegistry:
         while key in self._by_key:
             attempt += 1
             key = self._candidate(full_url, attempt)
+        return key
+
+    def add(self, key: str, full_url: str) -> None:
+        """Register ``key`` for ``full_url``; both must be unused strings."""
+        if not isinstance(key, str) or len(key) != SHORT_URL_LEN or not key.isascii():
+            raise ManifestError(f"registry key {key!r} is not {SHORT_URL_LEN} ASCII chars")
+        if not isinstance(full_url, str):
+            raise ManifestError(f"registry URL {full_url!r} is not a string")
+        if key in self._by_key or full_url in self._by_url:
+            raise ManifestError(f"registry key {key!r} or URL {full_url!r} is already in use")
         self._by_key[key] = full_url
         self._by_url[full_url] = key
+
+    def shorten(self, full_url: str) -> str:
+        """Return the 11-char key for ``full_url``; idempotent per URL."""
+        key = self.key_for(full_url)
+        if key not in self._by_key:
+            self.add(key, full_url)
         return key
 
     def resolve(self, key: str) -> Optional[str]:
@@ -205,8 +222,5 @@ class ShortUrlRegistry:
     def from_dict(cls, mapping: Dict[str, str]) -> "ShortUrlRegistry":
         reg = cls()
         for key, url in mapping.items():
-            if len(key) != SHORT_URL_LEN:
-                raise ManifestError(f"registry key {key!r} is not {SHORT_URL_LEN} chars")
-            reg._by_key[key] = url
-            reg._by_url[url] = key
+            reg.add(key, url)
         return reg

@@ -5,18 +5,27 @@ Rejections are state-free: a rejected request leaves every device record, and
 the store file, byte-identical. Committed timestamps persist on write so a
 restart never loses one.
 
-The store file is a snapshot followed by a commit journal. Line 1 is the
-whole state (``keys``, ``records``, ``manifests``, ``registry``) as compact
-JSON; it is written to a temporary file and renamed into place, by
-registration and by compaction. Each committed SyncAck then appends one line,
-``{"device_id": hex, "latest_ts": n}``, so a commit costs one small write
-instead of a rewrite of every record. Once the journal holds as many lines as
-there are records, the next commit rewrites the snapshot instead, which keeps
-the file under the snapshot plus one line per record. A server appends only
-to a store it wrote or loaded itself; its first write is a snapshot.
-``load`` replays the journal with ``max``, drops an unterminated last line (a
-torn write), and rejects any other line that does not parse or names an
-unknown device.
+The store file is a snapshot followed by a journal. Line 1 is the whole
+state (``keys``, ``records``, ``manifests``, ``registry``) as compact JSON; it
+is written to a temporary file and renamed into place. After it, each write
+appends one line, so it costs one small write instead of a rewrite of every
+record:
+
+- a registration line, ``{"record": {...}, "manifest": text, "short_url":
+  key, "full_url": url}``, adds a device record, its manifest document and its
+  short-URL registry entry;
+- a commit line, ``{"device_id": hex, "latest_ts": n}``, records a committed
+  SyncAck.
+
+One compaction rule covers both: once the journal holds as many lines as there
+are records, the next write rewrites the snapshot instead. A registration adds
+a record with its line, so only a commit meets that rule, and the file stays
+under the snapshot plus one line per record. A server appends only to a
+store it wrote or loaded itself; its first write is a snapshot. ``load``
+replays the journal in order and drops an unterminated last line (a torn
+write). It rejects any other line that does not parse, a registration of a
+known device or of a manifest path, short URL or full URL already in use, and
+a commit that names an unknown device.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from . import crypto, wire
-from .device import ATTEST_CHUNK_SIZE, Device, TimerConfig
+from .device import Device, TimerConfig
 from .manifest import (
     STATUS_ACTIVE,
     Manifest,
@@ -106,6 +115,29 @@ class DeviceDescription:
     deployment_location: str = "unspecified"
 
 
+def _record_to_json(record: DeviceRecord) -> dict:
+    return {
+        "device_id": record.device_id.hex(),
+        "device_public_key": record.device_public_key.hex(),
+        "latest_ts": record.latest_ts,
+        "manifest_path": record.manifest_path,
+    }
+
+
+def _record_from_json(rec: dict) -> DeviceRecord:
+    """The record in a store document; ``TypeError`` or ``ValueError`` if malformed."""
+    if type(rec["latest_ts"]) is not int:
+        raise TypeError(f"record {rec['device_id']} has no integer latest_ts")
+    if type(rec["manifest_path"]) is not str:
+        raise TypeError(f"record {rec['device_id']} has no string manifest_path")
+    return DeviceRecord(
+        bytes.fromhex(rec["device_id"]),
+        bytes.fromhex(rec["device_public_key"]),
+        rec["latest_ts"],
+        rec["manifest_path"],
+    )
+
+
 class ManufacturerServer:
     """Holds the signing key, the device map, the registry, and hosted manifests.
 
@@ -148,15 +180,19 @@ class ManufacturerServer:
     ) -> Tuple[Manifest, DeviceRecord]:
         """Provision a device and publish its signed manifest.
 
-        Runs the full registration flow: hash the software image, register the
-        short URL, provision the device (which returns its public key), build
-        and sign the manifest, and store the device record.
+        Runs the full registration flow: choose the short URL, provision the
+        device (which returns its public key and the image's hash), build and
+        sign the manifest, then store the device record, the manifest and the
+        registry entry. A refused registration changes none of them.
         """
         if device_id in self.records:
             raise ServerError(f"duplicate device_id {device_id.hex()}")
+        path = hosted_path(full_url)
+        if path in self.manifests:
+            raise ServerError(f"full_url {full_url!r} is in use: {path} already holds a manifest")
         desc = description if description is not None else DeviceDescription()
-        short_url = self.registry.shorten(full_url)
-        device_pk = device.provision(
+        short_url = self.registry.key_for(full_url)
+        device_pk, sw_hash = device.provision(
             device_id=device_id,
             sw_dev=sw_dev,
             mfr_public_key=self.keys.public_key,
@@ -169,22 +205,30 @@ class ManufacturerServer:
         man = Manifest(
             **vars(desc),
             device_id=device_id,
-            sw_hash=crypto.hash_chunked(sw_dev, ATTEST_CHUNK_SIZE),
+            sw_hash=sw_hash,
             device_public_key=device_pk,
             full_url=full_url,
             status=STATUS_ACTIVE,
         )
         man = sign_manifest(man, self.keys)
-        path = hosted_path(full_url)
-        self.manifests[path] = manifest_to_json(man)
+        document = manifest_to_json(man)
         record = DeviceRecord(
             device_id=device_id,
             device_public_key=device_pk,
             latest_ts=ts_cur,
             manifest_path=path,
         )
+        self.registry.add(short_url, full_url)
         self.records[device_id] = record
-        self._persist()
+        self.manifests[path] = document
+        self._append(
+            {
+                "record": _record_to_json(record),
+                "manifest": document.decode("utf-8"),
+                "short_url": short_url,
+                "full_url": full_url,
+            }
+        )
         return man, record
 
     def serve_manifest(self, path: str) -> Optional[bytes]:
@@ -244,7 +288,7 @@ class ManufacturerServer:
         # Commit: the session is one-shot.
         del self._sessions[ack.n_svr1]
         record.latest_ts = max(record.latest_ts, ack.ts_prev)
-        self._commit(record)
+        self._append({"device_id": record.device_id.hex(), "latest_ts": record.latest_ts})
         return AckOutcome(True)
 
     def handle_datagram(self, data: bytes, now: int) -> DatagramOutcome:
@@ -273,17 +317,15 @@ class ManufacturerServer:
 
     # -- persistence --------------------------------------------------------
 
-    def _commit(self, record: DeviceRecord) -> None:
-        """Append one record's timestamp to the journal, or compact."""
+    def _append(self, entry: dict) -> None:
+        """Append one journal line for a change already made in memory, or
+        compact."""
         if self.store_path is None:
             return
         if self._snapshot_path != self.store_path or self._journal_lines >= len(self.records):
             self._persist()
             return
-        line = json.dumps(
-            {"device_id": record.device_id.hex(), "latest_ts": record.latest_ts},
-            separators=(",", ":"),
-        )
+        line = json.dumps(entry, separators=(",", ":"))
         with open(self.store_path, "a", encoding="utf-8") as f:
             f.write(line + "\n")
         self._journal_lines += 1
@@ -297,15 +339,7 @@ class ManufacturerServer:
                 "private_key": self.keys.private_key.hex(),
                 "public_key": self.keys.public_key.hex(),
             },
-            "records": [
-                {
-                    "device_id": r.device_id.hex(),
-                    "device_public_key": r.device_public_key.hex(),
-                    "latest_ts": r.latest_ts,
-                    "manifest_path": r.manifest_path,
-                }
-                for r in self.records.values()
-            ],
+            "records": [_record_to_json(r) for r in self.records.values()],
             "manifests": {p: data.decode("utf-8") for p, data in self.manifests.items()},
             "registry": self.registry.to_dict(),
         }
@@ -315,6 +349,32 @@ class ManufacturerServer:
         os.replace(tmp, self.store_path)
         self._snapshot_path = self.store_path
         self._journal_lines = 0
+
+    def _replay(self, entry: dict) -> None:
+        """Apply one journal line; ``ValueError`` or ``TypeError`` if it is
+        malformed or does not fit the state before it."""
+        if not isinstance(entry, dict):
+            raise TypeError("a journal line must be a JSON object")
+        if "record" not in entry:
+            record = self.records.get(bytes.fromhex(entry["device_id"]))
+            if record is None:
+                raise ValueError("it commits for an unknown device")
+            latest_ts = entry["latest_ts"]
+            if type(latest_ts) is not int:
+                raise TypeError("it has no integer latest_ts")
+            record.latest_ts = max(record.latest_ts, latest_ts)
+            return
+        record = _record_from_json(entry["record"])
+        document = entry["manifest"]
+        if type(document) is not str:
+            raise TypeError("its manifest is not a string")
+        if record.device_id in self.records:
+            raise ValueError(f"it registers known device {record.device_id.hex()}")
+        if record.manifest_path in self.manifests:
+            raise ValueError(f"it registers used manifest path {record.manifest_path}")
+        self.registry.add(entry["short_url"], entry["full_url"])
+        self.records[record.device_id] = record
+        self.manifests[record.manifest_path] = document.encode("utf-8")
 
     @classmethod
     def load(cls, store_path: str, session_ttl: int = DEFAULT_SESSION_TTL, nonce_source=None) -> "ManufacturerServer":
@@ -331,12 +391,8 @@ class ManufacturerServer:
             )
             srv = cls(keys, store_path=store_path, session_ttl=session_ttl, nonce_source=nonce_source)
             for rec in doc["records"]:
-                device_id = bytes.fromhex(rec["device_id"])
-                if type(rec["latest_ts"]) is not int:
-                    raise ServerError(f"{store_path}: record {rec['device_id']} has no integer latest_ts")
-                srv.records[device_id] = DeviceRecord(
-                    device_id, bytes.fromhex(rec["device_public_key"]), rec["latest_ts"], rec["manifest_path"]
-                )
+                record = _record_from_json(rec)
+                srv.records[record.device_id] = record
             srv.manifests = {p: data.encode("utf-8") for p, data in doc["manifests"].items()}
             srv.registry = ShortUrlRegistry.from_dict(doc["registry"])
         except (OSError, KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -346,18 +402,11 @@ class ManufacturerServer:
         lines.pop()  # "" unless the last write was cut short (a torn line)
         for n, line in enumerate(lines, start=2):
             try:
-                entry = json.loads(line)
-                record = srv.records.get(bytes.fromhex(entry["device_id"]))
-                latest_ts = entry["latest_ts"]
+                srv._replay(json.loads(line))
             except (ValueError, TypeError, KeyError) as exc:
                 raise ServerError(f"{store_path}: journal line {n} is corrupt: {exc}") from exc
-            if record is None:
-                raise ServerError(f"{store_path}: journal line {n} names an unknown device")
-            if type(latest_ts) is not int:
-                raise ServerError(f"{store_path}: journal line {n} has no integer latest_ts")
-            record.latest_ts = max(record.latest_ts, latest_ts)
         # Append only after a complete last line. A torn one, or an older
-        # store with no final newline, is rewritten by the first commit.
+        # store with no final newline, is rewritten by the next write.
         if text.endswith("\n"):
             srv._snapshot_path = store_path
             srv._journal_lines = len(lines)

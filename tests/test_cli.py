@@ -7,6 +7,7 @@ import pytest
 
 from paisa import crypto, pcapio, simnet
 from paisa.cli import main
+from paisa.server import ManufacturerServer
 
 SCENARIOS = pathlib.Path(simnet.__file__).parent / "scenarios"
 
@@ -29,7 +30,7 @@ def test_keygen_without_seed_differs(tmp_path):
     assert crypto.load_keypair(a) != crypto.load_keypair(b)
 
 
-def provision(tmp_path, device_id="07" * 16, device_out=None):
+def provision(tmp_path, device_id="07" * 16, device_out=None, full_url=None):
     keyfile = str(tmp_path / "mfr.key")
     store = str(tmp_path / "store.json")
     image = tmp_path / "fw.bin"
@@ -42,7 +43,7 @@ def provision(tmp_path, device_id="07" * 16, device_out=None):
         "--mfr-keys", keyfile,
         "--id", device_id,
         "--image", str(image),
-        "--full-url", f"https://mfr.example/manifests/{device_id[:4]}.json",
+        "--full-url", full_url or f"https://mfr.example/manifests/{device_id[:4]}.json",
     ]
     if device_out:
         argv += ["--device-out", device_out]
@@ -71,8 +72,35 @@ def test_provision_second_device_appends(tmp_path):
     assert rc == 0
     rc, store = provision(tmp_path, device_id="08" * 16)
     assert rc == 0
-    doc = json.loads(pathlib.Path(store).read_text())
-    assert len(doc["records"]) == 2
+    assert len(ManufacturerServer.load(store).records) == 2
+
+
+def test_provision_reused_full_url_fails(tmp_path, capsys):
+    url = "https://mfr.example/manifests/shared.json"
+    rc, store = provision(tmp_path, device_id="07" * 16, full_url=url)
+    assert rc == 0
+    before = pathlib.Path(store).read_bytes()
+    rc, _ = provision(tmp_path, device_id="08" * 16, full_url=url)
+    assert rc == 1
+    assert "provision failed: " in capsys.readouterr().err
+    assert pathlib.Path(store).read_bytes() == before
+
+
+def test_provision_key_file_of_two_keys_fails(tmp_path, capsys):
+    mine = crypto.generate_keypair(bytes.fromhex(SEED))
+    other = crypto.generate_keypair(b"\x01" * 32)
+    keyfile = tmp_path / "mixed.key"
+    keyfile.write_text(mine.private_key.hex() + "\n" + other.public_key.hex() + "\n")
+    image = tmp_path / "fw.bin"
+    image.write_bytes(b"\x00" * 64)
+    store = tmp_path / "store.json"
+    rc = main([
+        "provision", "--store", str(store), "--mfr-keys", str(keyfile), "--id", "07" * 16,
+        "--image", str(image), "--full-url", "https://mfr.example/manifests/m.json",
+    ])
+    assert rc == 1
+    assert "cannot load manufacturer keys: " in capsys.readouterr().err
+    assert not store.exists()
 
 
 def test_simulate_prints_summary_and_writes_artifacts(tmp_path, capsys):

@@ -137,6 +137,14 @@ def test_keypair_file_roundtrip(tmp_path):
     assert len(lines[0]) == 64 and len(lines[1]) == 128
 
 
+def test_load_keypair_rejects_a_public_key_of_another_key(tmp_path):
+    mine, other = crypto.generate_keypair(SEED), crypto.generate_keypair(b"\x01" * 32)
+    path = tmp_path / "mixed.key"
+    path.write_text(mine.private_key.hex() + "\n" + other.public_key.hex() + "\n")
+    with pytest.raises(crypto.CryptoError, match="not the private key's"):
+        crypto.load_keypair(str(path))
+
+
 def test_bad_public_keys_fail_on_every_call():
     keys = crypto.generate_keypair(SEED)
     digest = hashlib.sha256(b"cached").digest()

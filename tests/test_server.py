@@ -2,11 +2,13 @@ import dataclasses
 import hashlib
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paisa import crypto, wire
-from paisa.device import Device, TimerConfig
+from paisa.device import Device, DeviceError, TimerConfig
 from paisa.manifest import manifest_from_json, verify_manifest
 from paisa.server import DeviceDescription, ManufacturerServer, ServerError, SyncRejection
 
@@ -23,6 +25,28 @@ def test_register_duplicate_device_id_rejected(rig):
             ts_cur=0,
             timer_config=TimerConfig(10, 10),
         )
+
+
+@pytest.mark.parametrize(
+    "full_url",
+    ["https://mfr.example/manifests/rig.json", "https://other.example/manifests/rig.json"],
+    ids=["same_url", "same_path"],
+)
+def test_register_refuses_a_full_url_in_use(rig, full_url):
+    server = rig["server"]
+    served = server.serve_manifest("/manifests/rig.json")
+    with pytest.raises(ServerError, match="in use"):
+        server.register_device(
+            device=Device(nonce_source=SeededNonces(1)),
+            device_id=b"\x08" * 16,
+            sw_dev=b"other",
+            full_url=full_url,
+            ts_cur=0,
+            timer_config=TimerConfig(10, 10),
+        )
+    assert list(server.records) == [b"\x07" * 16]
+    assert server.serve_manifest("/manifests/rig.json") == served
+    assert list(server.registry.to_dict()) == [rig["device"].trusted.short_url]
 
 
 def test_served_manifest_bytes_verify(rig):
@@ -231,6 +255,54 @@ def _store_rig(store, n):
     return server, devices
 
 
+def _register(server, i, full_url=None, device_id=None):
+    """Register device ``i`` of a store test with a deterministic key."""
+    device = Device(nonce_source=SeededNonces(100 + i))
+    server.register_device(
+        device=device,
+        device_id=device_id if device_id is not None else bytes([i + 1]) * 16,
+        sw_dev=bytes([i]) * 64,
+        full_url=full_url or f"https://mfr.example/manifests/store-{i}.json",
+        ts_cur=0,
+        timer_config=TimerConfig(5, 5),
+        key_seed=bytes([i]) * 32,
+    )
+    return device
+
+
+def _server_state(server):
+    """Everything a reload must restore: records, served manifests, registry."""
+    records = {did: dataclasses.replace(r) for did, r in server.records.items()}
+    served = {r.manifest_path: server.serve_manifest(r.manifest_path) for r in records.values()}
+    registry = {key: server.registry.resolve(key) for key in server.registry.to_dict()}
+    return records, served, dict(server.manifests), registry
+
+
+@pytest.mark.parametrize(
+    "device_id, full_url, error",
+    [
+        (b"\x0f" * 15, None, DeviceError),
+        (b"\x01" * 16, None, ServerError),
+        (None, "https://mfr.example/manifests/store-0.json", ServerError),
+    ],
+    ids=["short_device_id", "known_device_id", "full_url_in_use"],
+)
+def test_failed_registration_leaves_no_state_behind(tmp_path, device_id, full_url, error):
+    store = str(tmp_path / "server.json")
+    server, _ = _store_rig(store, n=2)
+    state = _server_state(server)
+    with open(store, "rb") as f:
+        before = f.read()
+    with pytest.raises(error):
+        _register(server, 5, full_url=full_url, device_id=device_id)
+    assert _server_state(server) == state
+    with open(store, "rb") as f:
+        assert f.read() == before
+    # Nothing of it reaches the next snapshot either.
+    server._persist()
+    assert _server_state(ManufacturerServer.load(store)) == state
+
+
 def test_ack_for_session_past_ttl_rejected_even_after_clock_step_back():
     server, devices = _store_rig(None, n=2)
     ttl = server.session_ttl
@@ -253,7 +325,7 @@ def test_pending_sessions_stay_bounded_over_a_long_storm(rig):
         assert len(server._sessions) <= server.session_ttl + 1
 
 
-# -- the store file: snapshot plus commit journal ---------------------------
+# -- the store file: snapshot plus journal of registrations and commits -----
 
 
 def _latest(server):
@@ -268,6 +340,7 @@ def _journal(store):
 def test_store_replays_journal_of_commits(tmp_path):
     store = str(tmp_path / "server.json")
     server, devices = _store_rig(store, n=3)
+    server._persist()  # compact the registration lines
     journal_lengths = []
     for k in range(8):
         assert complete_sync(server, devices[k % 3], now=10 * (k + 1)).committed
@@ -280,7 +353,8 @@ def test_store_replays_journal_of_commits(tmp_path):
 
 def test_store_commit_after_reload_appends_to_the_journal(tmp_path):
     store = str(tmp_path / "server.json")
-    _, devices = _store_rig(store, n=3)
+    server, devices = _store_rig(store, n=3)
+    server._persist()  # compact the registration lines
     reloaded = ManufacturerServer.load(store)
     assert complete_sync(reloaded, devices[1], now=42).committed
     assert _journal(store) == ['{"device_id":"%s","latest_ts":42}' % ("02" * 16)]
@@ -327,7 +401,8 @@ def test_store_rejects_a_corrupt_terminated_line(tmp_path, line):
 @pytest.mark.parametrize("latest_ts", ["5", 5.0, None, True], ids=["str", "float", "null", "bool"])
 def test_store_rejects_a_snapshot_record_without_integer_latest_ts(tmp_path, latest_ts):
     store = str(tmp_path / "server.json")
-    _store_rig(store, n=2)
+    server, _ = _store_rig(store, n=2)
+    server._persist()  # compact the registration line, so line 1 holds both records
     with open(store, encoding="utf-8") as f:
         doc = json.loads(f.readline())
     doc["records"][1]["latest_ts"] = latest_ts
@@ -431,3 +506,142 @@ def test_handle_datagram_names_each_outcome_as_the_simulator_log(rig):
     assert (commit.reply, commit.event, commit.fields()) == (None, "sync_commit", {"latest_ts": 10})
     assert handle(ack, 11) == ("sync_ack_reject", {"reason": "unknown_session", "latest_ts": 10})
     assert handle(req, 11) == ("sync_reject", {"reason": "timestamp_mismatch", "latest_ts": 10})
+
+
+def _read(store):
+    with open(store, "rb") as f:
+        return f.read()
+
+
+def test_store_registration_appends_one_line(tmp_path):
+    store = str(tmp_path / "server.json")
+    server = ManufacturerServer(
+        crypto.generate_keypair(b"\x66" * 32), store_path=store, nonce_source=SeededNonces(8)
+    )
+    devices = []
+    for i in range(8):
+        before = _read(store) if devices else b""
+        devices.append(_register(server, i))
+        after = _read(store)
+        # The first write is a snapshot; every later registration appends,
+        # also right after a commit that compacted.
+        assert after.startswith(before)
+        assert after.count(b"\n") == before.count(b"\n") + 1
+        if i % 2:
+            assert complete_sync(server, devices[0], now=10 * i).committed
+    assert _server_state(ManufacturerServer.load(store)) == _server_state(server)
+
+
+def test_store_bytes_written_by_registrations_grow_linearly(tmp_path):
+    store = str(tmp_path / "server.json")
+    server = ManufacturerServer(
+        crypto.generate_keypair(b"\x66" * 32), store_path=store, nonce_source=SeededNonces(9)
+    )
+    before, written = b"", []
+    for i in range(64):
+        _register(server, i)
+        after = _read(store)
+        # An append writes its growth; a rewrite writes the whole file.
+        written.append(len(after) - len(before) if after.startswith(before) else len(after))
+        before = after
+    assert sum(written) == len(after)
+    assert max(written[1:]) < 2 * min(written[1:])
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.just(("register",)),
+        st.tuples(st.just("commit"), st.integers(0, 7)),
+        st.just(("reload",)),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_OPS)
+def test_store_cut_at_any_line_loads_the_state_of_its_last_complete_line(ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        store, cut = os.path.join(tmp, "server.json"), os.path.join(tmp, "cut.json")
+        server = ManufacturerServer(
+            crypto.generate_keypair(b"\x66" * 32), store_path=store, nonce_source=SeededNonces(10)
+        )
+        devices, now = [], 0
+        # line_states[k]: the in-memory state when line k + 1 was written.
+        text, line_states = b"", []
+        for op in ops:
+            if op[0] == "register":
+                devices.append(_register(server, len(devices)))
+            elif op[0] == "commit" and devices:
+                now += 10
+                assert complete_sync(server, devices[op[1] % len(devices)], now=now).committed
+            elif op[0] == "reload" and devices:
+                server = ManufacturerServer.load(store, nonce_source=SeededNonces(now))
+                assert _server_state(server) == line_states[-1]
+                continue
+            else:
+                continue
+            after = _read(store)
+            if after.startswith(text):
+                assert after.count(b"\n") == len(line_states) + 1
+                line_states.append(_server_state(server))
+            else:
+                assert after.count(b"\n") == 1  # compacted to one snapshot line
+                line_states = [_server_state(server)]
+            text = after
+
+        lines = text.splitlines(keepends=True)
+        for k in range(1, len(lines) + 1):
+            torn = lines[k][: len(lines[k]) // 2] if k < len(lines) else b""
+            for tail in {b"", torn}:
+                with open(cut, "wb") as f:
+                    f.write(b"".join(lines[:k]) + tail)
+                assert _server_state(ManufacturerServer.load(cut)) == line_states[k - 1]
+
+
+def _registration(store):
+    """The store's last journal line, a registration, as a dict."""
+    with open(store, encoding="utf-8") as f:
+        return json.loads(f.read().splitlines()[-1])
+
+
+def _set(entry, path, value):
+    *parents, last = path
+    for key in parents:
+        entry = entry[key]
+    entry[last] = value
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        [],  # the same registration again: a known device
+        [(("record", "device_id"), "ee" * 16)],  # a used manifest path
+        [(("record", "device_id"), "ee" * 16), (("record", "manifest_path"), "/m/new.json")],  # used short URL
+        [
+            (("record", "device_id"), "ee" * 16),
+            (("record", "manifest_path"), "/m/new.json"),
+            (("short_url",), "AAAAAAAAAAA"),
+        ],  # used full URL
+        [(("record", "device_id"), "ee" * 16), (("record", "latest_ts"), "0")],
+        [(("record", "device_id"), "ee" * 16), (("record", "manifest_path"), 5)],
+        [(("record",), [1, 2])],
+        [(("record", "device_id"), "ee" * 16), (("manifest",), {"a": 1})],
+        [(("record", "device_id"), "ee" * 16), (("short_url",), 12345678901)],
+        [(("record", "device_id"), "ee" * 16), (("full_url",), None)],
+    ],
+    ids=[
+        "known_device", "used_path", "used_short_url", "used_full_url", "str_latest_ts",
+        "int_manifest_path", "list_record", "object_manifest", "int_short_url", "null_full_url",
+    ],
+)
+def test_store_rejects_a_bad_registration_line(tmp_path, edits):
+    store = str(tmp_path / "server.json")
+    _store_rig(store, n=2)
+    entry = _registration(store)
+    for path, value in edits:
+        _set(entry, path, value)
+    with open(store, "a", encoding="utf-8") as f:
+        f.write(json.dumps(entry) + "\n")
+    with pytest.raises(ServerError, match="journal line 3"):
+        ManufacturerServer.load(store)
