@@ -159,7 +159,7 @@ def test_same_seed_byte_identical_logs():
     "name", sorted(p.stem for p in SCENARIOS.glob("*.json")) + ["tamper_sync"]
 )
 def test_loaded_scenario_runs_the_same_twice(name):
-    source = TAMPER_SYNC if name == "tamper_sync" else str(SCENARIOS / f"{name}.json")
+    source = INLINE.get(name) or str(SCENARIOS / f"{name}.json")
     scenario = simnet.load_scenario(source)
     a = simnet.run_scenario(scenario)
     b = simnet.run_scenario(scenario)
@@ -385,6 +385,10 @@ PINNED = {
         "b0c71f9752f57355808bb07d52b6616153d8da95f577dfc216b31440f24303ea",
         "cb9180a564e2d0e719dd04e4c982cc5bb0c35d2e42d45cd0d1865031df76d14d",
     ),
+    "same_second": (
+        "e06ac8f7cd26339ca5acfbd87c384f06b98a35a049eb894743ec60d3ddd5b794",
+        "f92f3a3212734c88bd0c701e73156003a26093aec6bb96b7294f9e88ccdf7c99",
+    ),
     "tamper_sync": (
         "817514a14b39481ccfc2702e92c4858a95f00c60d9ce984220ce771b6b90ff8b",
         "92aee64579af39027d0bba96de2eb271e4cd047c9fa213de160b5613496f57d2",
@@ -404,6 +408,30 @@ TAMPER_SYNC = base_doc(
     },
 )
 
+# Three cadences, staggered boots, delays, a dropped SyncResp, a replayed
+# SyncReq and a beacon replay one second after its capture: many seconds hold
+# several events, so their order at equal times is pinned too.
+SAME_SECOND = base_doc(
+    seed=3,
+    horizon=120,
+    receivers=2,
+    devices=[
+        {"name": "a", "t_announce": 5, "t_attest": 10, "boot_at": 0},
+        {"name": "b", "t_announce": 2, "t_attest": 2, "boot_at": 1},
+        {"name": "c", "t_announce": 10, "t_attest": 30, "boot_at": 3},
+    ],
+    adversary={
+        "drop": [{"link": "server->device", "device": "c", "max_matches": 2}],
+        "delay": [
+            {"link": "device->receiver", "device": "a", "delay": 1},
+            {"link": "server->device", "device": "b", "delay": 1},
+        ],
+        "replay_sync": [{"device": "b", "message": "sync_req", "delay": 1}],
+        "replay": [{"device": "a", "capture_time": 20, "inject_at": 21}],
+    },
+)
+INLINE = {"same_second": SAME_SECOND, "tamper_sync": TAMPER_SYNC}
+
 
 def frames_digest(frames):
     h = hashlib.sha256()
@@ -414,7 +442,7 @@ def frames_digest(frames):
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_log_and_frames_match_pinned_digests(name):
-    source = TAMPER_SYNC if name == "tamper_sync" else str(SCENARIOS / f"{name}.json")
+    source = INLINE.get(name) or str(SCENARIOS / f"{name}.json")
     result = simnet.run_scenario(source)
     log_digest = hashlib.sha256(result.log_ndjson().encode()).hexdigest()
     assert (log_digest, frames_digest(result.beacon_frames)) == PINNED[name]
