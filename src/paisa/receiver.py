@@ -5,10 +5,10 @@ Stages run in a fixed order and the first failure decides the verdict; later
 stages are skipped, so e.g. a stale frame never triggers a manifest fetch.
 
 Each distinct manifest is parsed, its manufacturer signature verified and its
-report summary built once per receiver; a change of the manifest bytes (a
-re-sign or a revocation) is seen within one fetch TTL. Pinning, the URL
-binding, the revocation status and the announcement signature are still
-checked on every frame.
+report summary and that summary's JSON built once per receiver; a change of
+the manifest bytes (a re-sign or a revocation) is seen within one fetch TTL.
+Pinning, the URL binding, the revocation status and the announcement
+signature are still checked on every frame.
 
 Each distinct frame is decoded, and its announcement signature verified under
 a given device key, once per memo: a bounded ``OrderedDict`` that a receiver
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
@@ -122,6 +122,12 @@ class ManifestSummary:
     deployment_purpose: str
     deployment_location: str
     status: str
+    # The summary as the JSON object a report embeds, made once per summary.
+    json_text: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # vars() holds exactly the seven fields above until json_text is set.
+        object.__setattr__(self, "json_text", json.dumps(vars(self), sort_keys=True))
 
 
 class _CachedManifest(NamedTuple):
@@ -141,7 +147,7 @@ def _parse_manifest(fetched_at: int, fetched: FetchResult) -> _CachedManifest:
         man = manifest_from_json(fetched.manifest_bytes)
     except ManifestError:
         return _CachedManifest(fetched_at, fetched, None)
-    summary = ManifestSummary(**{f.name: getattr(man, f.name) for f in fields(ManifestSummary)})
+    summary = ManifestSummary(*(getattr(man, f.name) for f in fields(ManifestSummary) if f.init))
     return _CachedManifest(
         fetched_at, fetched, man, verify_manifest(man), man.device_id.hex(), summary
     )
@@ -159,19 +165,15 @@ class PresenceReport:
     duplicate: bool = False
 
     def to_json(self) -> str:
-        doc = {
-            "verdict": self.verdict.value,
-            "received_at": self.received_at,
-            "announcement_timestamp": self.announcement_timestamp,
-            "att_result": self.att_result,
-            "att_timestamp": self.att_timestamp,
-            "device_id": self.device_id,
-            "duplicate": self.duplicate,
-        }
-        if self.manifest is not None:
-            # vars(), not asdict(): the same JSON without a ~15 us deep copy.
-            doc["manifest"] = vars(self.manifest)
-        return json.dumps(doc, sort_keys=True)
+        """What ``json.dumps`` of the fields with sorted keys writes, from a template."""
+        device_id = "null" if self.device_id is None else json.dumps(self.device_id)
+        manifest = "" if self.manifest is None else f', "manifest": {self.manifest.json_text}'
+        return (
+            f'{{"announcement_timestamp": {self.announcement_timestamp}, '
+            f'"att_result": {self.att_result}, "att_timestamp": {self.att_timestamp}, '
+            f'"device_id": {device_id}, "duplicate": {"true" if self.duplicate else "false"}'
+            f'{manifest}, "received_at": {self.received_at}, "verdict": "{self.verdict.value}"}}'
+        )
 
 
 MEMO_SIZE = 4096  # entries; a frame takes one for its decode, one per verify
@@ -257,30 +259,22 @@ class Receiver:
         msg = decoded.msg
         now = self.clock()
         duplicate = self._is_duplicate(msg.signature, now)
-
-        def report(verdict: Verdict, cached: Optional[_CachedManifest] = None) -> PresenceReport:
-            return PresenceReport(
-                verdict=verdict,
-                received_at=now,
-                announcement_timestamp=msg.timestamp,
-                att_result=msg.att_result,
-                att_timestamp=msg.att_timestamp,
-                device_id=cached and cached.device_id,
-                manifest=cached and cached.summary,
-                duplicate=duplicate,
-            )
-
+        device_id = summary = None
         freshness = check_freshness(msg.timestamp, now, self.cfg)
-        if freshness is Freshness.STALE:
-            return report(Verdict.STALE)
-        if freshness is Freshness.FUTURE:
-            return report(Verdict.FUTURE)
-
-        try:
-            cached = self._fetch_manifest(msg.short_url, now)
-        except FetchError:
-            return report(Verdict.FETCH_ERROR)
-        return report(self._verdict(cached, msg, frame), cached)
+        if freshness is not Freshness.FRESH:
+            verdict = Verdict(freshness.value)
+        else:
+            try:
+                cached = self._fetch_manifest(msg.short_url, now)
+            except FetchError:
+                verdict = Verdict.FETCH_ERROR
+            else:
+                verdict = self._verdict(cached, msg, frame)
+                device_id, summary = cached.device_id, cached.summary
+        return PresenceReport(
+            verdict, now, msg.timestamp, msg.att_result, msg.att_timestamp,
+            device_id, summary, duplicate,
+        )
 
     def _verdict(self, cached: _CachedManifest, msg: wire.AnnouncementMsg, frame: bytes) -> Verdict:
         """The manifest stages, then the announcement signature under the device

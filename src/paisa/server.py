@@ -42,6 +42,7 @@ from .device import Device, TimerConfig
 from .manifest import (
     STATUS_ACTIVE,
     Manifest,
+    ManifestError,
     ShortUrlRegistry,
     hosted_path,
     manifest_to_json,
@@ -96,8 +97,7 @@ class DatagramOutcome:
 @dataclass
 class _PendingSession:
     device_id: bytes
-    ts_cur: int
-    issued_at: int
+    ts_cur: int  # also when the session was issued
 
 
 @dataclass
@@ -180,10 +180,12 @@ class ManufacturerServer:
     ) -> Tuple[Manifest, DeviceRecord]:
         """Provision a device and publish its signed manifest.
 
-        Runs the full registration flow: choose the short URL, provision the
-        device (which returns its public key and the image's hash), build and
-        sign the manifest, then store the device record, the manifest and the
-        registry entry. A refused registration changes none of them.
+        Runs the full registration flow: choose the short URL, check that the
+        manifest can encode the description, provision the device (which
+        returns its public key and the image's hash), build and sign the
+        manifest, then store the device record, the manifest and the registry
+        entry. A refused registration changes none of them, and a description
+        the manifest cannot encode leaves the device unprovisioned too.
         """
         if device_id in self.records:
             raise ServerError(f"duplicate device_id {device_id.hex()}")
@@ -192,6 +194,12 @@ class ManufacturerServer:
             raise ServerError(f"full_url {full_url!r} is in use: {path} already holds a manifest")
         desc = description if description is not None else DeviceDescription()
         short_url = self.registry.key_for(full_url)
+        # A string with no UTF-8 form cannot be signed: refuse it before provisioning.
+        texts = [t for v in vars(desc).values() for t in ((v,) if isinstance(v, str) else v)]
+        try:
+            "".join([full_url, *texts]).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ManifestError(f"description is not encodable as UTF-8: {exc}") from None
         device_pk, sw_hash = device.provision(
             device_id=device_id,
             sw_dev=sw_dev,
@@ -238,7 +246,7 @@ class ManufacturerServer:
     # -- time sync ----------------------------------------------------------
 
     def _expired(self, session: _PendingSession, now: int) -> bool:
-        return now - session.issued_at > self.session_ttl
+        return now - session.ts_cur > self.session_ttl
 
     def _expire_sessions(self, now: int) -> None:
         # Amortised O(1): purge from the oldest end while it has expired. A
@@ -262,9 +270,7 @@ class ManufacturerServer:
         if not wire.verifies(req, record.device_public_key):
             return SyncRejection("bad_signature")
         n_svr1 = self._nonces.randbytes(wire.NONCE_LEN)
-        self._sessions[n_svr1] = _PendingSession(
-            device_id=req.device_id, ts_cur=now, issued_at=now
-        )
+        self._sessions[n_svr1] = _PendingSession(device_id=req.device_id, ts_cur=now)
         return wire.signed(
             wire.SyncResp, self.keys.private_key, req.device_id, req.n_dev1, n_svr1, now
         )

@@ -144,7 +144,7 @@ def encode_announcement(msg: AnnouncementMsg) -> bytes:
 
 
 def decode_announcement(data: bytes) -> AnnouncementMsg:
-    """Parse 116 bytes back into an announcement; adversarial input allowed."""
+    """Parse 116 bytes of adversarial input; the layout fixes all but two rules of validate."""
     if len(data) != ANNOUNCEMENT_LEN:
         raise AnnouncementParseError(
             "length", f"expected {ANNOUNCEMENT_LEN} bytes, got {len(data)}"
@@ -156,9 +156,13 @@ def decode_announcement(data: bytes) -> AnnouncementMsg:
         short_url = url_bytes.decode("ascii")
     except UnicodeDecodeError:
         raise AnnouncementParseError("short_url", "short URL is not ASCII") from None
-    msg = AnnouncementMsg(nonce, timestamp, short_url, att_result, att_timestamp, signature)
-    msg.validate()
-    return msg
+    if att_result not in (0, 1):
+        raise AnnouncementParseError("att_result", "attestation result must be 0 or 1")
+    if att_timestamp > timestamp:
+        raise AnnouncementParseError(
+            "att_timestamp", "attestation timestamp after announcement timestamp"
+        )
+    return AnnouncementMsg(nonce, timestamp, short_url, att_result, att_timestamp, signature)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +300,6 @@ class BeaconDecode:
 
     verdict: BeaconVerdict
     msg: Optional[AnnouncementMsg] = None
-    source_mac: Optional[bytes] = None
 
 
 def encode_beacon(msg: AnnouncementMsg, device_mac: bytes) -> bytes:
@@ -338,38 +341,35 @@ def encode_beacon(msg: AnnouncementMsg, device_mac: bytes) -> bytes:
 
 
 def decode_beacon(frame: bytes) -> BeaconDecode:
-    """Total decoder: any byte sequence yields a verdict, never an exception."""
-    if len(frame) < 36 or frame[0] != 0x80 or frame[1] != 0x00:
+    """Total decoder: any byte sequence yields a verdict, never an exception.
+    Walks the elements by offset, up to a truncated one, and copies out only the
+    first SSID and the first vendor element whose own value starts with the OUI."""
+    end = len(frame)
+    if end < 36 or frame[0] != 0x80 or frame[1] != 0x00:
         return BeaconDecode(BeaconVerdict.NON_BEACON)
-    source_mac = frame[10:16]
-
     ssid: Optional[bytes] = None
     vendor_payload: Optional[bytes] = None
-    truncated = False
     off = 36
-    while off + 2 <= len(frame):
-        tag, length = frame[off], frame[off + 1]
-        value = frame[off + 2 : off + 2 + length]
-        if len(value) != length:
-            truncated = True
+    while off + 2 <= end:
+        value_end = off + 2 + frame[off + 1]
+        if value_end > end:
             break
-        if tag == _ELEM_SSID and ssid is None:
-            ssid = value
-        elif tag == _ELEM_VENDOR and value[:3] == VENDOR_OUI and vendor_payload is None:
-            vendor_payload = value[3:]
-        off += 2 + length
-    if off != len(frame) and not truncated:
-        truncated = True
+        if frame[off] == _ELEM_SSID and ssid is None:
+            ssid = frame[off + 2 : value_end]
+        elif frame[off] == _ELEM_VENDOR and vendor_payload is None:
+            if frame.startswith(VENDOR_OUI, off + 2, value_end):
+                vendor_payload = frame[off + 5 : value_end]
+        off = value_end
 
     if ssid != PAISA_SSID:
         return BeaconDecode(BeaconVerdict.WRONG_SSID)
     if vendor_payload is None:
-        if truncated:
+        # Bytes left over: an element was cut short, or one byte trails.
+        if off != end:
             return BeaconDecode(BeaconVerdict.MALFORMED_PAYLOAD)
         return BeaconDecode(BeaconVerdict.NO_VENDOR_ELEMENT)
     try:
         msg = decode_announcement(vendor_payload)
     except AnnouncementParseError:
         return BeaconDecode(BeaconVerdict.MALFORMED_PAYLOAD)
-    return BeaconDecode(BeaconVerdict.OK, msg=msg, source_mac=source_mac)
-
+    return BeaconDecode(BeaconVerdict.OK, msg)

@@ -356,6 +356,17 @@ def test_decode_matches_the_element_walk_on_repeated_and_extra_elements():
         assert_same_decode(frame)
 
 
+def test_decode_matches_the_element_walk_on_payload_field_edges():
+    timestamp = int.from_bytes(PAYLOAD[32:36], "big")
+    fields = [(0, timestamp), (1, timestamp), (1, timestamp + 1), (2, 0), (255, 0), (1, 2**32 - 1)]
+    for att_result, att_timestamp in fields:
+        payload = PAYLOAD[:47] + bytes([att_result]) + att_timestamp.to_bytes(4, "big") + PAYLOAD[52:]
+        assert_same_decode(HEADER + SSID + element(0xDD, OUI + payload))
+    for url_byte in (b"\x7f", b"\x80", b"\xff"):
+        payload = PAYLOAD[:40] + url_byte + PAYLOAD[41:]
+        assert_same_decode(HEADER + SSID + element(0xDD, OUI + payload))
+
+
 def test_vendor_oui_is_read_inside_its_own_element():
     # An empty vendor element followed by an SSID element whose length byte
     # and value begin 14 6c: the three bytes after "dd 00" read as the OUI

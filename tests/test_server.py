@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from paisa import crypto, wire
 from paisa.device import Device, DeviceError, TimerConfig
-from paisa.manifest import manifest_from_json, verify_manifest
+from paisa.manifest import ManifestError, manifest_from_json, verify_manifest
 from paisa.server import DeviceDescription, ManufacturerServer, ServerError, SyncRejection
 
 from conftest import SeededNonces, complete_sync
@@ -301,6 +301,38 @@ def test_failed_registration_leaves_no_state_behind(tmp_path, device_id, full_ur
     # Nothing of it reaches the next snapshot either.
     server._persist()
     assert _server_state(ManufacturerServer.load(store)) == state
+
+
+@pytest.mark.parametrize(
+    "description",
+    [DeviceDescription(owner_id="\ud800"), DeviceDescription(sensors=("pir", "\udfff"))],
+    ids=["owner_id", "sensor"],
+)
+def test_registration_refused_by_its_manifest_leaves_the_device_unprovisioned(tmp_path, description):
+    # A lone surrogate has no UTF-8 form, so no manifest can sign it.
+    store = str(tmp_path / "server.json")
+    server, _ = _store_rig(store, n=2)
+    state = _server_state(server)
+    with open(store, "rb") as f:
+        before = f.read()
+    device = Device(nonce_source=SeededNonces(9))
+    register = dict(
+        device=device,
+        device_id=b"\x09" * 16,
+        sw_dev=b"\x00" * 64,
+        full_url="https://mfr.example/manifests/store-9.json",
+        ts_cur=0,
+        timer_config=TimerConfig(5, 5),
+    )
+    with pytest.raises(ManifestError):
+        server.register_device(**register, description=description)
+    assert device.trusted is None
+    assert _server_state(server) == state
+    with open(store, "rb") as f:
+        assert f.read() == before
+    # The same device then registers with a description its manifest can hold.
+    man, _ = server.register_device(**register, description=DeviceDescription())
+    assert device.trusted.device_keys.public_key == man.device_public_key
 
 
 def test_ack_for_session_past_ttl_rejected_even_after_clock_step_back():
