@@ -39,10 +39,17 @@ def _load_store(path: str) -> Optional[ManufacturerServer]:
         return None
 
 
+def _write_json(path: str, doc: dict) -> None:
+    """Write ``doc`` to a temporary file beside ``path``, then rename it into place."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=2)
+    os.replace(tmp, path)
+
+
 def cmd_keygen(args: argparse.Namespace) -> int:
-    seed = bytes.fromhex(args.seed) if args.seed else None
     try:
-        keys = crypto.generate_keypair(seed)
+        keys = crypto.generate_keypair(args.seed)
     except crypto.CryptoError as exc:
         print(f"keygen failed: {exc}", file=sys.stderr)
         return 1
@@ -64,6 +71,11 @@ def cmd_provision(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"cannot read image: {exc}", file=sys.stderr)
         return 1
+    # --device-out must be creatable (write and search on its directory) before the store changes.
+    parent = os.path.dirname(args.device_out or "") or "."
+    if args.device_out and (os.path.isdir(args.device_out) or not os.access(parent, os.W_OK | os.X_OK)):
+        print(f"cannot write {args.device_out}: not a file in a writable directory", file=sys.stderr)
+        return 1
     if os.path.exists(args.store):
         server = _load_store(args.store)
         if server is None:
@@ -76,11 +88,10 @@ def cmd_provision(args: argparse.Namespace) -> int:
             return 1
         server = ManufacturerServer(keys, store_path=args.store)
     device = Device()
-    device_id = bytes.fromhex(args.id)
     try:
         man, record = server.register_device(
             device=device,
-            device_id=device_id,
+            device_id=args.id,
             sw_dev=sw,
             full_url=args.full_url,
             ts_cur=args.ts,
@@ -91,9 +102,8 @@ def cmd_provision(args: argparse.Namespace) -> int:
         print(f"provision failed: {exc}", file=sys.stderr)
         return 1
     if args.device_out:
-        with open(args.device_out, "w", encoding="utf-8") as f:
-            json.dump(device.export_state(), f, indent=2)
-    print(f"registered device {device_id.hex()}")
+        _write_json(args.device_out, device.export_state())
+    print(f"registered device {args.id.hex()}")
     print(f"short_url {device.trusted.short_url}")
     print(f"manifest_path {record.manifest_path}")
     return 0
@@ -129,7 +139,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if server is None:
         return 1
     fetcher = RegistryFetcher(server.registry, server.serve_manifest)
-    pinned = frozenset({bytes.fromhex(args.pin)}) if args.pin else None
+    pinned = frozenset({args.pin}) if args.pin else None
     cfg = ReceiverConfig(
         epsilon=args.epsilon, manifest_fetcher=fetcher, pinned_mfr_keys=pinned
     )
@@ -149,7 +159,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _address(text: str) -> Tuple[str, int]:
-    host, port = text.rsplit(":", 1)
+    """``host:port`` as a socket address; an empty host is 127.0.0.1."""
+    host, sep, port = text.rpartition(":")
+    if not sep or not port.isdigit() or int(port) > 65535:
+        raise argparse.ArgumentTypeError(f"not host:port: {text!r}")
     return host or "127.0.0.1", int(port)
 
 
@@ -160,7 +173,7 @@ def cmd_server(args: argparse.Namespace) -> int:
     if server is None:
         return 1
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
-        sock.bind(_address(args.listen))
+        sock.bind(args.listen)
         print(f"listening on {sock.getsockname()[0]}:{sock.getsockname()[1]}", flush=True)
         handled = 0
         while args.max_requests == 0 or handled < args.max_requests:
@@ -185,7 +198,6 @@ def cmd_device(args: argparse.Namespace) -> int:
         print(f"cannot load device: {exc}", file=sys.stderr)
         return 1
 
-    server = _address(args.server)
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
 
         def recv(timeout: int) -> Optional[bytes]:
@@ -195,14 +207,11 @@ def cmd_device(args: argparse.Namespace) -> int:
             except socket.timeout:
                 return None
 
-        frames = [(dev.clock.now, f) for f in dev.boot(lambda d: sock.sendto(d, server), recv)]
+        frames = [(dev.clock.now, f) for f in dev.boot(lambda d: sock.sendto(d, args.server), recv)]
     if not dev.synced:
         print("time sync failed; device stays silent", file=sys.stderr)
         return 1
-    tmp = args.config + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(dev.export_state(), f, indent=2)
-    os.replace(tmp, args.config)
+    _write_json(args.config, dev.export_state())
     while len(frames) < args.count:
         frames.extend((dev.clock.now, f) for f in dev.tick())
     pcapio.write_pcap(args.pcap, frames)
@@ -216,13 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keygen", help="generate a keypair file")
     p.add_argument("--out", help="output path (default $PAISA_KEY_DIR/paisa.key)")
-    p.add_argument("--seed", help="32-byte hex seed for deterministic generation")
+    p.add_argument("--seed", type=bytes.fromhex, help="32-byte hex seed for deterministic generation")
     p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("provision", help="register a device and publish its manifest")
     p.add_argument("--store", required=True, help="server store JSON path")
     p.add_argument("--mfr-keys", help="manufacturer key file (for a new store)")
-    p.add_argument("--id", required=True, help="16-byte device id, hex")
+    p.add_argument("--id", required=True, type=bytes.fromhex, help="16-byte device id, hex")
     p.add_argument("--image", required=True, help="software image path")
     p.add_argument("--full-url", required=True, help="full manifest URL")
     p.add_argument("--owner", default="owner-0")
@@ -242,18 +251,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="pcap file of 802.11 frames")
     p.add_argument("--store", required=True, help="server store JSON (registry + manifests)")
     p.add_argument("--epsilon", type=int, default=10)
-    p.add_argument("--pin", help="pinned manufacturer public key, hex")
+    p.add_argument("--pin", type=bytes.fromhex, help="pinned manufacturer public key, hex")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("server", help="run the live UDP time-sync server")
     p.add_argument("--store", required=True)
-    p.add_argument("--listen", default="127.0.0.1:9470")
+    p.add_argument("--listen", type=_address, default="127.0.0.1:9470")
     p.add_argument("--max-requests", type=int, default=0, help="stop after N datagrams (0 = forever)")
     p.set_defaults(func=cmd_server)
 
     p = sub.add_parser("device", help="sync a provisioned device and emit announcements")
     p.add_argument("--config", required=True, help="device state JSON from provision")
-    p.add_argument("--server", default="127.0.0.1:9470")
+    p.add_argument("--server", type=_address, default="127.0.0.1:9470")
     p.add_argument("--image", required=True, help="software image to load into program memory")
     p.add_argument("--pcap", required=True, help="write announcements here")
     p.add_argument("--count", type=int, default=1)

@@ -227,8 +227,7 @@ class Device:
         A failed response never changes device state.
         """
         st = self._require_provisioned()
-        if self._pending_sync_nonce is None:
-            return None
+        # With no request pending, the nonce is None and no response matches.
         if resp.device_id != st.device_id or resp.n_dev1 != self._pending_sync_nonce:
             return None
         if not wire.verifies(resp, st.mfr_public_key):
@@ -242,14 +241,20 @@ class Device:
             wire.SyncAck, st.device_keys.private_key, st.device_id, n_dev2, resp.n_svr1, st.ts_prev
         )
 
-    def handle_sync_datagram(self, data: bytes) -> Optional[bytes]:
-        """Handle one datagram from the server: the encoded ack on success,
-        None to retry. Raises ``wire.SyncParseError`` unless it is a SyncResp."""
-        msg = wire.decode_sync_message(data)
+    def handle_sync_datagram(self, data: bytes) -> wire.SyncOutcome:
+        """Handle one datagram from the server: ``device_synced`` with the
+        SyncAck to send, ``device_sync_retry`` for a SyncResp that fails
+        validation, or ``device_discard`` for anything but a SyncResp."""
+        try:
+            msg = wire.decode_sync_message(data)
+        except wire.SyncParseError as exc:
+            return wire.SyncOutcome("device_discard", str(exc))
         if not isinstance(msg, wire.SyncResp):
-            raise wire.SyncParseError("unexpected_message")
+            return wire.SyncOutcome("device_discard", "unexpected_message")
         ack = self.handle_sync_resp(msg)
-        return None if ack is None else wire.encode_sync_message(ack)
+        if ack is None:
+            return wire.SyncOutcome("device_sync_retry")
+        return wire.SyncOutcome("device_synced", reply=wire.encode_sync_message(ack))
 
     def boot(
         self, send: Callable[[bytes], None], recv: Callable[[int], Optional[bytes]]
@@ -263,10 +268,7 @@ class Device:
             payload, wait = attempt
             send(payload)
             data = recv(wait)
-            try:
-                ack = None if data is None else self.handle_sync_datagram(data)
-            except wire.SyncParseError:
-                continue
+            ack = None if data is None else self.handle_sync_datagram(data).reply
             if ack is not None:
                 send(ack)
                 return self.announce_now()

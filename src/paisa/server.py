@@ -1,9 +1,10 @@
 """The manufacturer server: provisioning driver, time-sync responder with the
 per-device timestamp map, and manifest hosting.
 
-Rejections are state-free: a rejected request leaves every device record, and
-the store file, byte-identical. Committed timestamps persist on write so a
-restart never loses one.
+Each sync message ends in a ``wire.SyncOutcome`` (an answered SyncReq in its
+``wire.SyncResp``). Rejections are state-free: a rejected request leaves every
+device record, and the store file, byte-identical. Committed timestamps
+persist on write so a restart never loses one.
 
 The store file is a snapshot followed by a journal. Line 1 is the whole
 state (``keys``, ``records``, ``manifests``, ``registry``) as compact JSON; it
@@ -62,36 +63,6 @@ class DeviceRecord:
     device_public_key: bytes
     latest_ts: int
     manifest_path: str
-
-
-@dataclass
-class SyncRejection:
-    reason: str
-
-
-@dataclass
-class AckOutcome:
-    committed: bool
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class DatagramOutcome:
-    """One datagram's encoded reply (or None) and the event that records it,
-    named as in the simulator log; ``latest_ts`` is the named device's record
-    after handling."""
-
-    reply: Optional[bytes]
-    event: str
-    reason: Optional[str] = None
-    latest_ts: Optional[int] = None
-
-    def fields(self) -> dict:
-        """The event's fields: a success has no reason, a discard no record."""
-        out = {} if self.reason is None else {"reason": self.reason}
-        if self.event != "server_discard":
-            out["latest_ts"] = self.latest_ts
-        return out
 
 
 @dataclass
@@ -259,67 +230,65 @@ class ManufacturerServer:
 
     def handle_sync_req(
         self, req: wire.SyncReq, now: int
-    ) -> Union[wire.SyncResp, SyncRejection]:
-        """Answer a sync request, or reject it without touching any record."""
+    ) -> Union[wire.SyncResp, wire.SyncOutcome]:
+        """Answer a sync request, or return a ``sync_reject`` outcome without
+        touching any record."""
         self._expire_sessions(now)
         record = self.records.get(req.device_id)
         if record is None:
-            return SyncRejection("unknown_device")
+            return wire.SyncOutcome("sync_reject", "unknown_device")
         if req.ts_prev != record.latest_ts:
-            return SyncRejection("timestamp_mismatch")
+            return wire.SyncOutcome("sync_reject", "timestamp_mismatch", latest_ts=record.latest_ts)
         if not wire.verifies(req, record.device_public_key):
-            return SyncRejection("bad_signature")
+            return wire.SyncOutcome("sync_reject", "bad_signature", latest_ts=record.latest_ts)
         n_svr1 = self._nonces.randbytes(wire.NONCE_LEN)
         self._sessions[n_svr1] = _PendingSession(device_id=req.device_id, ts_cur=now)
         return wire.signed(
             wire.SyncResp, self.keys.private_key, req.device_id, req.n_dev1, n_svr1, now
         )
 
-    def handle_sync_ack(self, ack: wire.SyncAck, now: int) -> AckOutcome:
-        """Commit the synced timestamp iff the ack closes a pending session."""
+    def handle_sync_ack(self, ack: wire.SyncAck, now: int) -> wire.SyncOutcome:
+        """Commit the synced timestamp iff the ack closes a pending session:
+        ``sync_commit``, else ``sync_ack_reject``."""
         self._expire_sessions(now)
         session = self._sessions.get(ack.n_svr1)
         if session is not None and self._expired(session, now):
             del self._sessions[ack.n_svr1]
             session = None
+        record = self.records.get(ack.device_id)
         if session is None:
-            return AckOutcome(False, "unknown_session")
-        if ack.device_id != session.device_id:
-            return AckOutcome(False, "device_mismatch")
-        if ack.ts_prev != session.ts_cur:
-            return AckOutcome(False, "timestamp_mismatch")
-        record = self.records[session.device_id]
-        if not wire.verifies(ack, record.device_public_key):
-            return AckOutcome(False, "bad_signature")
-        # Commit: the session is one-shot.
-        del self._sessions[ack.n_svr1]
-        record.latest_ts = max(record.latest_ts, ack.ts_prev)
-        self._append({"device_id": record.device_id.hex(), "latest_ts": record.latest_ts})
-        return AckOutcome(True)
+            reason = "unknown_session"
+        elif ack.device_id != session.device_id:
+            reason = "device_mismatch"
+        elif ack.ts_prev != session.ts_cur:
+            reason = "timestamp_mismatch"
+        elif not wire.verifies(ack, record.device_public_key):
+            reason = "bad_signature"
+        else:
+            # Commit: the session is one-shot.
+            del self._sessions[ack.n_svr1]
+            record.latest_ts = max(record.latest_ts, ack.ts_prev)
+            self._append({"device_id": record.device_id.hex(), "latest_ts": record.latest_ts})
+            return wire.SyncOutcome("sync_commit", latest_ts=record.latest_ts)
+        latest_ts = None if record is None else record.latest_ts
+        return wire.SyncOutcome("sync_ack_reject", reason, latest_ts=latest_ts)
 
-    def handle_datagram(self, data: bytes, now: int) -> DatagramOutcome:
-        """Decode one sync datagram, answer it, and encode the reply. Events:
-        server_discard, sync_reject, sync_resp, sync_commit, sync_ack_reject."""
+    def handle_datagram(self, data: bytes, now: int) -> wire.SyncOutcome:
+        """Decode one sync datagram, answer it, and encode the reply: a
+        ``sync_resp`` carries the SyncResp, every other event no reply."""
         try:
             msg = wire.decode_sync_message(data)
         except wire.SyncParseError as exc:
-            return DatagramOutcome(None, "server_discard", str(exc))
-        if isinstance(msg, wire.SyncReq):
-            outcome = self.handle_sync_req(msg, now)
-        elif isinstance(msg, wire.SyncAck):
-            outcome = self.handle_sync_ack(msg, now)
-        else:
-            return DatagramOutcome(None, "server_discard", "unexpected_message")
-        record = self.records.get(msg.device_id)
-        latest_ts = record.latest_ts if record else None
-        if isinstance(outcome, wire.SyncResp):
-            reply = wire.encode_sync_message(outcome)
-            return DatagramOutcome(reply, "sync_resp", latest_ts=latest_ts)
-        if isinstance(outcome, SyncRejection):
-            return DatagramOutcome(None, "sync_reject", outcome.reason, latest_ts)
-        if outcome.committed:
-            return DatagramOutcome(None, "sync_commit", latest_ts=latest_ts)
-        return DatagramOutcome(None, "sync_ack_reject", outcome.reason, latest_ts)
+            return wire.SyncOutcome("server_discard", str(exc))
+        if isinstance(msg, wire.SyncAck):
+            return self.handle_sync_ack(msg, now)
+        if not isinstance(msg, wire.SyncReq):
+            return wire.SyncOutcome("server_discard", "unexpected_message")
+        resp = self.handle_sync_req(msg, now)
+        if isinstance(resp, wire.SyncOutcome):
+            return resp
+        latest_ts = self.records[msg.device_id].latest_ts
+        return wire.SyncOutcome("sync_resp", reply=wire.encode_sync_message(resp), latest_ts=latest_ts)
 
     # -- persistence --------------------------------------------------------
 

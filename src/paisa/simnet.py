@@ -30,7 +30,7 @@ from collections import OrderedDict
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union, get_args, get_origin
 
-from . import crypto, wire
+from . import crypto
 from .device import Device, TimerConfig
 from .receiver import (
     PresenceReport,
@@ -485,18 +485,13 @@ class Simulation:
 
     def _device_on_sync_resp(self, name: str, data: bytes) -> None:
         dev = self.devices[name]
-        try:
-            payload = dev.handle_sync_datagram(data)
-        except wire.SyncParseError as exc:
-            self._log("device_discard", device=name, reason=str(exc))
+        outcome = dev.handle_sync_datagram(data)
+        if outcome.reply is None:
+            self._log(outcome.event, device=name, **outcome.fields())
             return
-        if payload is None:
-            self._log("device_sync_retry", device=name)
-            return
-        self._maybe_capture_sync(name, "sync_ack", payload)
-        self._send_to_server(name, "sync_ack", payload)
-        # Only an unsynced device holds a pending nonce: an ack means it just synced.
-        self._log("device_synced", device=name, ts=dev.clock.now)
+        self._maybe_capture_sync(name, "sync_ack", outcome.reply)
+        self._send_to_server(name, "sync_ack", outcome.reply)
+        self._log(outcome.event, device=name, ts=dev.clock.now)
         self._broadcast(name, dev.announce_now())
         self._schedule_tick(name)
 

@@ -1,5 +1,6 @@
 """Bit-exact codecs for the announcement payload, the 802.11 beacon frame that
-carries it, and the three time-sync datagrams.
+carries it, and the three time-sync datagrams, with the ``SyncOutcome`` that
+both ends return for each sync datagram they handle.
 
 Each signed record is declared once, as the ``struct`` format of its signed
 fields built from the width table: the message layout is those fields plus
@@ -205,6 +206,29 @@ SyncMessage = Union[SyncReq, SyncResp, SyncAck]
 
 class SyncParseError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class SyncOutcome:
+    """What one sync message did at either end, as its simulator log event;
+    ``reply`` is the datagram to send back, ``latest_ts`` the server record of
+    the device the message names, after handling."""
+
+    event: str
+    reason: Optional[str] = None
+    reply: Optional[bytes] = None
+    latest_ts: Optional[int] = None
+
+    @property
+    def committed(self) -> bool:
+        return self.event == "sync_commit"
+
+    def fields(self) -> dict:
+        """The log fields: a success has no reason, and only ``sync_*`` names a record."""
+        out = {} if self.reason is None else {"reason": self.reason}
+        if self.event.startswith("sync_"):
+            out["latest_ts"] = self.latest_ts
+        return out
 
 
 # Each message's fields, in declaration order, are its layout's fields.

@@ -1,6 +1,9 @@
 import json
+import os
 import pathlib
 import socket
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -84,6 +87,49 @@ def test_provision_reused_full_url_fails(tmp_path, capsys):
     assert rc == 1
     assert "provision failed: " in capsys.readouterr().err
     assert pathlib.Path(store).read_bytes() == before
+
+
+@pytest.mark.parametrize("device_out", ["nodir/d.json", "."], ids=["missing_dir", "a_directory"])
+def test_provision_to_an_unwritable_device_out_leaves_the_store_alone(tmp_path, capsys, device_out):
+    rc, store = provision(tmp_path, device_id="07" * 16)
+    assert rc == 0
+    before = pathlib.Path(store).read_bytes()
+    capsys.readouterr()
+    rc, _ = provision(tmp_path, device_id="08" * 16, device_out=str(tmp_path / device_out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write ") and err.count("\n") == 1
+    assert pathlib.Path(store).read_bytes() == before
+    # Nothing was registered, so the same device provisions once the path is good.
+    rc, _ = provision(tmp_path, device_id="08" * 16, device_out=str(tmp_path / "d.json"))
+    assert rc == 0
+    assert json.loads((tmp_path / "d.json").read_text())["device_id"] == "08" * 16
+    assert not (tmp_path / "d.json.tmp").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["keygen", "--seed", "zz"],
+        ["provision", "--store", "s", "--image", "i", "--full-url", "u", "--id", "zz"],
+        ["scan", "--input", "p", "--store", "s", "--pin", "xyz"],
+        ["server", "--store", "s", "--listen", "nonsense"],
+        ["server", "--store", "s", "--listen", "127.0.0.1:notaport"],
+        ["device", "--config", "c", "--image", "i", "--pcap", "p", "--server", "nonsense"],
+    ],
+    ids=["seed", "id", "pin", "listen", "listen_port", "server"],
+)
+def test_malformed_arguments_are_usage_errors(tmp_path, argv):
+    """The malformed value is the last argument, so argv[-2] is its option."""
+    src = pathlib.Path(simnet.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run(
+        [sys.executable, "-m", "paisa.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 2
+    assert "usage: " in run.stderr and f"argument {argv[-2]}" in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def test_provision_key_file_of_two_keys_fails(tmp_path, capsys):

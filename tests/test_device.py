@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -229,6 +230,33 @@ def test_boot_drops_garbage_and_unexpected_replies(rig):
     assert len(dev.boot(send, recv)) == 1
     assert [o.event for o in outcomes] == ["sync_resp"] * 3 + ["sync_commit"]
     assert server.records[dev.trusted.device_id].latest_ts == 70
+
+
+def test_handle_sync_datagram_names_each_outcome_as_the_simulator_log(rig):
+    dev, server = rig["device"], rig["server"]
+
+    def handle(data):
+        outcome = dev.handle_sync_datagram(data)
+        assert not outcome.committed
+        return outcome.event, outcome.fields(), outcome.reply
+
+    assert handle(b"") == ("device_discard", {"reason": "empty datagram"}, None)
+    req = dev.make_sync_req()
+    assert handle(wire.encode_sync_message(req)) == (
+        "device_discard", {"reason": "unexpected_message"}, None
+    )
+    resp = server.handle_sync_req(req, now=10)
+    wrong_nonce = dataclasses.replace(resp, n_dev1=bytes(wire.NONCE_LEN))
+    assert handle(wire.encode_sync_message(wrong_nonce)) == ("device_sync_retry", {}, None)
+    assert not dev.synced
+    event, fields, reply = handle(wire.encode_sync_message(resp))
+    assert (event, fields, dev.synced) == ("device_synced", {}, True)
+    ack = wire.decode_sync_message(reply)
+    assert isinstance(ack, wire.SyncAck) and ack.n_svr1 == resp.n_svr1
+    # No request is pending once synced, so even the same response is retried.
+    assert handle(wire.encode_sync_message(resp)) == ("device_sync_retry", {}, None)
+    commit = server.handle_datagram(reply, 10)
+    assert commit.committed and commit.event == "sync_commit"
 
 
 def test_boot_unreachable_server_stays_silent():

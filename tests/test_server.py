@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from paisa import crypto, wire
 from paisa.device import Device, DeviceError, TimerConfig
 from paisa.manifest import ManifestError, manifest_from_json, verify_manifest
-from paisa.server import DeviceDescription, ManufacturerServer, ServerError, SyncRejection
+from paisa.server import DeviceDescription, ManufacturerServer, ServerError
 
 from conftest import SeededNonces, complete_sync
 
@@ -71,7 +71,7 @@ def test_three_way_exchange_advances_latest_ts(rig):
 def test_unknown_device_rejected(rig):
     req = wire.SyncReq(b"\xEE" * 16, b"\x00" * 32, 0, b"\x00" * 64)
     result = rig["server"].handle_sync_req(req, now=5)
-    assert isinstance(result, SyncRejection)
+    assert result.event == "sync_reject"
     assert result.reason == "unknown_device"
 
 
@@ -80,7 +80,7 @@ def test_wrong_ts_prev_rejected_before_signature_check(rig):
     req = dev.make_sync_req()
     bad = wire.SyncReq(req.device_id, req.n_dev1, req.ts_prev + 7, req.signature)
     result = rig["server"].handle_sync_req(bad, now=5)
-    assert isinstance(result, SyncRejection)
+    assert result.event == "sync_reject"
     assert result.reason == "timestamp_mismatch"
 
 
@@ -91,7 +91,7 @@ def test_forged_req_signature_rejected(rig):
     result = rig["server"].handle_sync_req(
         wire.SyncReq(req.device_id, req.n_dev1, req.ts_prev, bytes(sig)), now=5
     )
-    assert isinstance(result, SyncRejection)
+    assert result.event == "sync_reject"
     assert result.reason == "bad_signature"
 
 
@@ -103,7 +103,7 @@ def test_replayed_sync_req_rejected_after_commit(rig):
     assert server.handle_sync_ack(ack, now=40).committed
     # The captured request carries ts_prev=0, but latest_ts is now 40.
     result = server.handle_sync_req(req, now=45)
-    assert isinstance(result, SyncRejection)
+    assert result.event == "sync_reject"
     assert result.reason == "timestamp_mismatch"
     assert rig["record"].latest_ts == 40
 
@@ -353,7 +353,7 @@ def test_ack_for_session_past_ttl_rejected_even_after_clock_step_back():
 def test_pending_sessions_stay_bounded_over_a_long_storm(rig):
     dev, server = rig["device"], rig["server"]
     for now in range(5 * server.session_ttl):
-        assert not isinstance(server.handle_sync_req(dev.make_sync_req(), now=now), SyncRejection)
+        assert isinstance(server.handle_sync_req(dev.make_sync_req(), now=now), wire.SyncResp)
         assert len(server._sessions) <= server.session_ttl + 1
 
 
@@ -500,7 +500,7 @@ def test_rejected_sync_leaves_store_file_byte_identical(tmp_path):
         wire.SyncReq(req.device_id, req.n_dev1, req.ts_prev + 1, req.signature),
         wire.SyncReq(req.device_id, req.n_dev1, req.ts_prev, bytes(bad_sig)),
     ):
-        assert isinstance(server.handle_sync_req(forged, now=30), SyncRejection)
+        assert server.handle_sync_req(forged, now=30).event == "sync_reject"
         assert unchanged()
 
     ack = dev.handle_sync_resp(server.handle_sync_req(req, now=30))
@@ -533,7 +533,7 @@ def test_handle_datagram_names_each_outcome_as_the_simulator_log(rig):
     resp = server.handle_datagram(req, 10)
     assert (resp.event, resp.fields()) == ("sync_resp", {"latest_ts": 0})
     assert handle(resp.reply, 10) == ("server_discard", {"reason": "unexpected_message"})
-    ack = dev.handle_sync_datagram(resp.reply)
+    ack = dev.handle_sync_datagram(resp.reply).reply
     commit = server.handle_datagram(ack, 10)
     assert (commit.reply, commit.event, commit.fields()) == (None, "sync_commit", {"latest_ts": 10})
     assert handle(ack, 11) == ("sync_ack_reject", {"reason": "unknown_session", "latest_ts": 10})
