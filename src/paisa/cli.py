@@ -194,7 +194,7 @@ def cmd_device(args: argparse.Namespace) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as f, open(args.image, "rb") as img:
             dev = Device.from_state(json.load(f), img.read())
-    except (OSError, ValueError, DeviceError) as exc:
+    except (OSError, ValueError, DeviceError, RecursionError) as exc:
         print(f"cannot load device: {exc}", file=sys.stderr)
         return 1
 

@@ -7,6 +7,12 @@ A ``bytes`` field has its declared width and is JSON hex, a ``str`` a JSON
 string, a ``Tuple[str, ...]`` a JSON list of strings; any other JSON type is
 malformed. The signature covers the canonical bytes, not the JSON text, so
 whitespace or key order never breaks verification.
+
+The JSON document is written from a template built once from the fields:
+each member's key and separator are fixed, and only the values are encoded
+per manifest. The bytes are identical to ``json.dumps(doc, indent=2,
+sort_keys=True)``, whose indented output CPython writes with its pure-Python
+encoder.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ import hashlib
 import json
 import string
 import struct
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, Optional, Tuple
 
 from . import crypto
@@ -56,13 +63,18 @@ class Manifest:
     manifest_signature: Optional[bytes] = None
 
 
-def _lp_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return struct.pack(">I", len(raw)) + raw
+_U32 = struct.Struct(">I").pack
 
 
-def _lp_list(items: Tuple[str, ...]) -> bytes:
-    return struct.pack(">I", len(items)) + b"".join([_lp_str(item) for item in items])
+def _hex_to_json(value: bytes) -> str:
+    return '"' + value.hex() + '"'
+
+
+def _list_to_json(items: Tuple[str, ...]) -> str:
+    """A list member as ``json.dumps(..., indent=2)`` writes it one level down."""
+    if not items:
+        return "[]"
+    return "[\n    " + ",\n    ".join(map(encode_basestring_ascii, items)) + "\n  ]"
 
 
 def _json_str(value: Any) -> str:
@@ -77,46 +89,75 @@ def _json_strs(value: Any) -> Tuple[str, ...]:
     return tuple(value)
 
 
-# Per annotated kind: the canonical encoder, the JSON encoder and the JSON
-# decoder (TypeError or ValueError on a value of the wrong JSON type).
+# Per annotated kind: the JSON value encoder and the JSON decoder (TypeError
+# or ValueError on a value of the wrong JSON type).
 _KINDS = {
-    "bytes": (bytes, bytes.hex, bytes.fromhex),
-    "str": (_lp_str, str, _json_str),
-    "Tuple[str, ...]": (_lp_list, list, _json_strs),
+    "bytes": (_hex_to_json, bytes.fromhex),
+    "str": (encode_basestring_ascii, _json_str),
+    "Tuple[str, ...]": (_list_to_json, _json_strs),
 }
-# (name, width or None, *kind) of each payload field, in signed order.
+# (name, kind, width or None, *codec) of each payload field, in signed order.
 _PAYLOAD = tuple(
-    (f.name, f.metadata.get("width"), *_KINDS[f.type])
+    (f.name, f.type, f.metadata.get("width"), *_KINDS[f.type])
     for f in fields(Manifest)
     if f.default is MISSING
 )
 _ATTACHED = tuple(f.name for f in fields(Manifest) if f.default is not MISSING)
+# The JSON template: per member, in key order, its fixed '"key": ' text, its
+# field and its value encoder. An attached field is a member only when set.
+_MEMBERS = tuple(
+    sorted(
+        [(encode_basestring_ascii(name) + ": ", name, to_json) for name, _, _, to_json, _ in _PAYLOAD]
+        + [(encode_basestring_ascii(name) + ": ", name, _hex_to_json) for name in _ATTACHED],
+        key=lambda member: member[1],
+    )
+)
 
 
 def canonicalize(manifest: Manifest) -> bytes:
     """Deterministic byte serialization of the signed payload: each payload
-    field in declared order, encoded by its kind."""
+    field in declared order, encoded by its kind. A bytes field is itself, a
+    string its 4-byte big-endian UTF-8 length and UTF-8 bytes, a list its
+    4-byte item count and then each item as a string."""
     if manifest.status not in (STATUS_ACTIVE, STATUS_REVOKED):
         raise ManifestError(f"unknown status {manifest.status!r}")
+    values = vars(manifest)
     parts = []
-    for name, width, canonical, _, _ in _PAYLOAD:
-        value = getattr(manifest, name)
-        if width is not None and len(value) != width:
-            raise ManifestError(f"{name} must be {width} bytes")
-        try:
-            parts.append(canonical(value))
-        except UnicodeEncodeError as exc:
-            raise ManifestError(f"{name} is not encodable as UTF-8: {exc}") from exc
+    try:
+        for name, kind, width, _, _ in _PAYLOAD:
+            value = values[name]
+            if kind == "bytes":
+                if len(value) != width:
+                    raise ManifestError(f"{name} must be {width} bytes")
+                parts.append(value)
+            elif kind == "str":
+                raw = value.encode("utf-8")
+                parts += (_U32(len(raw)), raw)
+            else:
+                parts.append(_U32(len(value)))
+                for item in value:
+                    raw = item.encode("utf-8")
+                    parts += (_U32(len(raw)), raw)
+    except UnicodeEncodeError as exc:
+        raise ManifestError(f"{name} is not encodable as UTF-8: {exc}") from exc
     return b"".join(parts)
 
 
 def sign_manifest(manifest: Manifest, mfr_keys: crypto.KeyPair) -> Manifest:
-    """Return the manifest with the manufacturer key and signature attached."""
+    """Return the manifest with the manufacturer key and signature attached.
+
+    The signed manifest is a copy of the unsigned one's fields plus the two
+    attached ones: the fields are already built, so the frozen dataclass's
+    ``__init__`` does not run a second time.
+    """
     digest = hashlib.sha256(canonicalize(manifest)).digest()
-    sig = crypto.sign(mfr_keys.private_key, digest)
-    return replace(
-        manifest, manufacturer_public_key=mfr_keys.public_key, manifest_signature=sig
+    signed = object.__new__(type(manifest))
+    signed.__dict__.update(
+        vars(manifest),
+        manufacturer_public_key=mfr_keys.public_key,
+        manifest_signature=crypto.sign(mfr_keys.private_key, digest),
     )
+    return signed
 
 
 def verify_manifest(manifest: Manifest) -> bool:
@@ -134,12 +175,10 @@ def verify_manifest(manifest: Manifest) -> bool:
 
 
 def manifest_to_json(manifest: Manifest) -> bytes:
-    doc = {name: to_json(getattr(manifest, name)) for name, _, _, to_json, _ in _PAYLOAD}
-    for name in _ATTACHED:
-        value = getattr(manifest, name)
-        if value is not None:
-            doc[name] = value.hex()
-    return json.dumps(doc, indent=2, sort_keys=True).encode("utf-8")
+    """The manifest's JSON document: ASCII, sorted keys, two-space indent."""
+    values = vars(manifest)
+    members = [key + to_json(values[name]) for key, name, to_json in _MEMBERS if values[name] is not None]
+    return ("{\n  " + ",\n  ".join(members) + "\n}").encode("ascii")
 
 
 def manifest_from_json(data: bytes) -> Manifest:
@@ -150,7 +189,7 @@ def manifest_from_json(data: bytes) -> Manifest:
             if name in doc:
                 values[name] = bytes.fromhex(doc[name])
         return Manifest(**values)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ManifestError(f"malformed manifest document: {exc}") from exc
 
 
@@ -201,13 +240,6 @@ class ShortUrlRegistry:
             raise ManifestError(f"registry key {key!r} or URL {full_url!r} is already in use")
         self._by_key[key] = full_url
         self._by_url[full_url] = key
-
-    def shorten(self, full_url: str) -> str:
-        """Return the 11-char key for ``full_url``; idempotent per URL."""
-        key = self.key_for(full_url)
-        if key not in self._by_key:
-            self.add(key, full_url)
-        return key
 
     def resolve(self, key: str) -> Optional[str]:
         """The mapped full URL, or None when the key is unregistered."""

@@ -200,14 +200,15 @@ class ManufacturerServer:
         self.registry.add(short_url, full_url)
         self.records[device_id] = record
         self.manifests[path] = document
-        self._append(
-            {
-                "record": _record_to_json(record),
-                "manifest": document.decode("utf-8"),
-                "short_url": short_url,
-                "full_url": full_url,
-            }
-        )
+        if self.store_path is not None:
+            self._append(
+                {
+                    "record": _record_to_json(record),
+                    "manifest": document.decode("utf-8"),
+                    "short_url": short_url,
+                    "full_url": full_url,
+                }
+            )
         return man, record
 
     def serve_manifest(self, path: str) -> Optional[bytes]:
@@ -370,7 +371,7 @@ class ManufacturerServer:
                 srv.records[record.device_id] = record
             srv.manifests = {p: data.encode("utf-8") for p, data in doc["manifests"].items()}
             srv.registry = ShortUrlRegistry.from_dict(doc["registry"])
-        except (OSError, KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
             raise ServerError(f"{store_path}: unreadable or malformed snapshot: {exc!r}") from exc
 
         lines = text[end:].lstrip().split("\n")
@@ -378,7 +379,7 @@ class ManufacturerServer:
         for n, line in enumerate(lines, start=2):
             try:
                 srv._replay(json.loads(line))
-            except (ValueError, TypeError, KeyError) as exc:
+            except (ValueError, TypeError, KeyError, RecursionError) as exc:
                 raise ServerError(f"{store_path}: journal line {n} is corrupt: {exc}") from exc
         # Append only after a complete last line. A torn one, or an older
         # store with no final newline, is rewritten by the next write.

@@ -296,6 +296,8 @@ def load_scenario(source: Union[str, dict]) -> Scenario:
                 doc = json.load(f)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+        except RecursionError as exc:
+            raise ScenarioError(f"{source}: invalid JSON: nested too deeply") from exc
         except (OSError, UnicodeDecodeError) as exc:
             raise ScenarioError(f"cannot read {source}: {exc}") from exc
     return _load(Scenario, doc, "scenario")

@@ -10,7 +10,8 @@ import pytest
 
 from paisa import crypto, pcapio, simnet
 from paisa.cli import main
-from paisa.server import ManufacturerServer
+from paisa.manifest import ManifestError, manifest_from_json
+from paisa.server import ManufacturerServer, ServerError
 
 SCENARIOS = pathlib.Path(simnet.__file__).parent / "scenarios"
 
@@ -324,3 +325,63 @@ def test_device_with_a_malformed_config_fails_cleanly(tmp_path, capsys):
     rc = main(argv)
     assert rc == 1
     assert "cannot load device" in capsys.readouterr().err
+
+
+# JSON nested deeper than the interpreter's recursion limit: the decoder
+# raises RecursionError, which each reader reports as its own error.
+DEEP_JSON = "[" * 100_000
+
+
+def _snapshot_then(journal_line):
+    keys = crypto.generate_keypair(bytes.fromhex(SEED))
+    keys_doc = {"private_key": keys.private_key.hex(), "public_key": keys.public_key.hex()}
+    snapshot = {"keys": keys_doc, "records": [], "manifests": {}, "registry": {}}
+    return json.dumps(snapshot) + "\n" + journal_line + "\n"
+
+
+def _load_store(tmp_path, content):
+    store = tmp_path / "store.json"
+    store.write_text(content)
+    ManufacturerServer.load(str(store))
+
+
+def _scan_store(tmp_path, content):
+    store, pcap = tmp_path / "store.json", str(tmp_path / "empty.pcap")
+    store.write_text(content)
+    pcapio.write_pcap(pcap, [])
+    return main(["scan", "--input", pcap, "--store", str(store)])
+
+
+def _load_scenario(tmp_path, content):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(content)
+    simnet.load_scenario(str(scenario))
+
+
+def _run_device(tmp_path, content):
+    config, image = tmp_path / "device.json", tmp_path / "fw.bin"
+    config.write_text(content)
+    image.write_bytes(b"\x00" * 64)
+    return main(["device", "--config", str(config), "--image", str(image), "--pcap", str(tmp_path / "p")])
+
+
+@pytest.mark.parametrize(
+    "read, content, error",
+    [
+        (lambda tmp_path, content: manifest_from_json(content.encode()), DEEP_JSON, ManifestError),
+        (_load_store, DEEP_JSON, ServerError),
+        (_load_store, _snapshot_then(DEEP_JSON), ServerError),
+        (_scan_store, DEEP_JSON, "cannot load store"),
+        (_load_scenario, DEEP_JSON, simnet.ScenarioError),
+        (_run_device, DEEP_JSON, "cannot load device"),
+    ],
+    ids=["manifest", "store_snapshot", "store_journal", "scan_store", "scenario", "device_config"],
+)
+def test_json_nested_past_the_recursion_limit_is_a_clean_error(tmp_path, capsys, read, content, error):
+    if isinstance(error, str):
+        assert read(tmp_path, content) == 1
+        err = capsys.readouterr().err
+        assert error in err and err.count("\n") == 1
+    else:
+        with pytest.raises(error):
+            read(tmp_path, content)

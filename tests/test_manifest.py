@@ -1,8 +1,11 @@
 import dataclasses
+import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paisa import crypto
+from paisa.device import ATTEST_CHUNK_SIZE, Device, TimerConfig
 from paisa.manifest import (
     Manifest,
     ManifestError,
@@ -13,6 +16,7 @@ from paisa.manifest import (
     sign_manifest,
     verify_manifest,
 )
+from paisa.server import DeviceDescription, ManufacturerServer
 
 MFR_KEYS = crypto.generate_keypair(b"\x11" * 32)
 DEV_KEYS = crypto.generate_keypair(b"\x22" * 32)
@@ -135,16 +139,24 @@ def test_malformed_json_raises_manifest_error():
         manifest_from_json(b'{"device_id": "zz"}')
 
 
-def test_registry_shorten_is_idempotent():
+def register(reg, url):
+    key = reg.key_for(url)
+    reg.add(key, url)
+    return key
+
+
+def test_registry_key_for_is_idempotent():
     reg = ShortUrlRegistry()
     url = "https://mfr.example/manifests/a.json"
-    assert reg.shorten(url) == reg.shorten(url)
+    assert reg.key_for(url) == reg.key_for(url)
+    key = register(reg, url)
+    assert reg.key_for(url) == reg.key_for(url) == key
 
 
 def test_registry_distinct_urls_get_distinct_keys():
     reg = ShortUrlRegistry()
-    a = reg.shorten("https://mfr.example/a.json")
-    b = reg.shorten("https://mfr.example/b.json")
+    a = register(reg, "https://mfr.example/a.json")
+    b = register(reg, "https://mfr.example/b.json")
     assert a != b
     assert len(a) == len(b) == 11
 
@@ -152,7 +164,7 @@ def test_registry_distinct_urls_get_distinct_keys():
 def test_registry_resolve_roundtrip():
     reg = ShortUrlRegistry()
     url = "https://mfr.example/manifests/c.json"
-    assert reg.resolve(reg.shorten(url)) == url
+    assert reg.resolve(register(reg, url)) == url
 
 
 def test_registry_unregistered_key_not_found():
@@ -168,16 +180,101 @@ def test_registry_rejects_wrong_length_key():
 
 def test_registry_serialization_roundtrip():
     reg = ShortUrlRegistry()
-    key = reg.shorten("https://mfr.example/x.json")
+    key = register(reg, "https://mfr.example/x.json")
     restored = ShortUrlRegistry.from_dict(reg.to_dict())
     assert restored.resolve(key) == "https://mfr.example/x.json"
-    assert restored.shorten("https://mfr.example/x.json") == key
+    assert restored.key_for("https://mfr.example/x.json") == key
 
 
 def test_registry_bijective_over_many_urls():
     reg = ShortUrlRegistry()
     urls = [f"https://mfr.example/m/{i}.json" for i in range(500)]
-    keys = [reg.shorten(u) for u in urls]
+    keys = [register(reg, u) for u in urls]
     assert len(set(keys)) == len(urls)
     for key, url in zip(keys, urls):
         assert reg.resolve(key) == url
+
+
+# -- the JSON template against json.dumps --------------------------------------
+
+def dumps_json(man: Manifest) -> bytes:
+    """The document as ``json.dumps`` writes it from the fields: the reference
+    that ``manifest_to_json``'s template must match byte for byte."""
+    doc = {}
+    for f in dataclasses.fields(Manifest):
+        value = getattr(man, f.name)
+        if isinstance(value, bytes):
+            doc[f.name] = value.hex()
+        elif isinstance(value, tuple):
+            doc[f.name] = list(value)
+        elif value is not None:
+            doc[f.name] = value
+    return json.dumps(doc, indent=2, sort_keys=True).encode("utf-8")
+
+
+# Quotes, backslashes, control characters, non-ASCII, astral characters and
+# lone surrogates, each of which the JSON encoder escapes its own way.
+SPECIAL = '"\\/\x00\x08\t\n\x1f\x7f\u00e9\u2028\ufeff\U0001f600\ud800\udfff'
+texts = st.text(st.one_of(st.sampled_from(SPECIAL), st.characters(exclude_categories=())), max_size=12)
+lists = st.lists(texts, max_size=4).map(tuple)  # 0, 1 and many elements
+
+
+manifests = st.builds(
+    Manifest,
+    device_id=st.binary(min_size=16, max_size=16),
+    device_type_model=texts,
+    manufacturer=texts,
+    manufacture_date_location=texts,
+    sensors=lists,
+    actuators=lists,
+    deployment_purpose=texts,
+    network_interfaces=lists,
+    owner_id=texts,
+    deployment_location=texts,
+    sw_hash=st.binary(min_size=32, max_size=32),
+    device_public_key=st.binary(min_size=64, max_size=64),
+    full_url=texts,
+    status=st.sampled_from(["active", "revoked"]),
+    manufacturer_public_key=st.none() | st.binary(min_size=64, max_size=64),
+    manifest_signature=st.none() | st.binary(min_size=64, max_size=64),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(manifests)
+def test_manifest_json_template_matches_json_dumps(man):
+    assert manifest_to_json(man) == dumps_json(man)
+
+
+# A registration refuses strings with no UTF-8 form, so its descriptions
+# leave out the surrogates.
+utf8_texts = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
+descriptions = st.builds(
+    DeviceDescription,
+    **{
+        f.name: st.lists(utf8_texts, max_size=3).map(tuple) if f.type.startswith("Tuple") else utf8_texts
+        for f in dataclasses.fields(DeviceDescription)
+    },
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(descriptions, st.binary(min_size=1, max_size=64))
+def test_registration_publishes_the_signed_manifest_json(desc, image):
+    server = ManufacturerServer(MFR_KEYS)
+    device_id, full_url = bytes(range(16)), "https://mfr.example/manifests/p.json"
+    man, record = server.register_device(
+        Device(), device_id, image, full_url, 0, TimerConfig(10, 30), desc, key_seed=b"\x44" * 32
+    )
+    unsigned = Manifest(
+        **vars(desc),
+        device_id=device_id,
+        sw_hash=crypto.hash_chunked(image, ATTEST_CHUNK_SIZE),
+        device_public_key=crypto.generate_keypair(b"\x44" * 32).public_key,
+        full_url=full_url,
+        status="active",
+    )
+    published = server.serve_manifest(record.manifest_path)
+    assert published == manifest_to_json(sign_manifest(unsigned, MFR_KEYS))
+    assert manifest_from_json(published) == man
+    assert verify_manifest(man)

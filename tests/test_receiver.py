@@ -152,6 +152,15 @@ def test_tampered_hosted_manifest_yields_bad_manifest_signature(rig):
     assert receiver.process_frame(frame).verdict is Verdict.BAD_MANIFEST_SIGNATURE
 
 
+def test_hosted_manifest_nested_past_the_recursion_limit_is_bad_manifest_signature(rig):
+    frame = synced_frame(rig, now=1000)
+    rig["server"].manifests["/manifests/rig.json"] = b"[" * 100_000
+    receiver, _, _ = make_receiver(rig, now=1000)
+    report = receiver.process_frame(frame)
+    assert report.verdict is Verdict.BAD_MANIFEST_SIGNATURE
+    assert report.manifest is None
+
+
 def test_unpinned_manufacturer_key_rejected(rig):
     from paisa import crypto
 

@@ -153,7 +153,9 @@ def build_fleet(descs):
     registry, hosted, devices = ShortUrlRegistry(), {}, []
     for i, (kind, keys, desc) in enumerate(zip(KINDS, DEVICE_KEYS, descs)):
         device_id, full_url = bytes([i + 1]) * 16, f"https://mfr.example/manifests/{i}.json"
-        short_url = registry.key_for(full_url) if kind == "unknown" else registry.shorten(full_url)
+        short_url = registry.key_for(full_url)
+        if kind != "unknown":
+            registry.add(short_url, full_url)
         man = Manifest(
             **desc,
             device_id=device_id,
