@@ -11,6 +11,11 @@ The trusted state and private key live behind this class boundary and are
 never reachable from the normal software or from network input, emulating the
 TEE isolation contract. Compromise is modeled as mutation access to
 ``NormalSoftware`` only; it can never suppress or alter announcements.
+
+Like a secure world hashing the normal world's memory where it lies, the
+device measures its program image in place: it keeps the ``bytes`` it was
+provisioned with (a mutable image is copied, so the caller cannot reach device
+memory) until the first write access, and attestation hashes what is current.
 """
 
 from __future__ import annotations
@@ -43,11 +48,29 @@ class TimerConfig:
             raise ValueError("t_attest must be a multiple of t_announce")
 
 
-@dataclass
 class NormalSoftware:
-    """The untrusted application image; the only thing an adversary may touch."""
+    """The untrusted application image; the only thing an adversary may touch.
 
-    program_memory: bytearray
+    It holds the ``bytes`` it was installed with until the first access to
+    ``program_memory`` swaps in a private ``bytearray``.
+    """
+
+    __slots__ = ("_memory",)
+
+    def __init__(self, image: bytes) -> None:
+        self._memory = image
+
+    @property
+    def program_memory(self) -> bytearray:
+        """The writable program memory: the adversary's mutation path."""
+        if type(self._memory) is not bytearray:
+            self._memory = bytearray(self._memory)
+        return self._memory
+
+    @property
+    def contents(self) -> bytes:
+        """The current image, read without a copy: for measuring, not writing."""
+        return self._memory
 
 
 @dataclass
@@ -121,7 +144,8 @@ class Device:
         if self.trusted is not None:
             raise DeviceError("device is already provisioned")
         keys = crypto.generate_keypair(key_seed)
-        sw_hash = crypto.hash_chunked(sw_dev, ATTEST_CHUNK_SIZE)
+        image = bytes(sw_dev)  # the same object for bytes; a mutable image is copied
+        sw_hash = crypto.hash_chunked(image, ATTEST_CHUNK_SIZE)
         self._install(
             TrustedState(
                 device_id=device_id,
@@ -133,16 +157,16 @@ class Device:
                 ts_prev=ts_cur,
                 timer_config=timer_config,
             ),
-            sw_dev,
+            image,
         )
         return keys.public_key, sw_hash
 
-    def _install(self, state: TrustedState, sw_dev: bytes) -> None:
+    def _install(self, state: TrustedState, image: bytes) -> None:
         if len(state.device_id) != wire.DEVICE_ID_LEN:
             raise DeviceError("device_id must be 16 bytes")
         if not 0 <= state.ts_prev <= wire.TS_MAX:
             raise DeviceError("ts_prev must fit the 4-byte timestamp field")
-        self.software = NormalSoftware(program_memory=bytearray(sw_dev))
+        self.software = NormalSoftware(image)
         self.trusted = state
 
     def export_state(self) -> dict:
@@ -165,8 +189,8 @@ class Device:
     @classmethod
     def from_state(cls, doc: dict, image: bytes, nonce_source=None) -> "Device":
         """A provisioned device rebuilt from ``export_state()`` output, with
-        ``image`` as its program memory. A malformed document raises
-        ``DeviceError``."""
+        ``image`` as its program memory (copied only if it is mutable). A
+        malformed document raises ``DeviceError``."""
         try:
             if not all(type(doc[k]) is int for k in ("ts_prev", "t_announce", "t_attest")):
                 raise TypeError("ts_prev, t_announce and t_attest must be integers")
@@ -186,7 +210,7 @@ class Device:
         except (KeyError, TypeError, ValueError) as exc:
             raise DeviceError(f"malformed device state: {exc!r}") from exc
         device = cls(nonce_source)
-        device._install(state, image)
+        device._install(state, bytes(image))
         return device
 
     @property
@@ -277,11 +301,11 @@ class Device:
     # -- attestation and announcement ---------------------------------------
 
     def attest(self) -> AttReport:
-        """Hash the normal program memory and compare against the provisioned
-        reference; stores and returns the report."""
+        """Hash the normal program memory in place, as it is now, and compare
+        against the provisioned reference; stores and returns the report."""
         st = self._require_provisioned()
         assert self.software is not None
-        measured = crypto.hash_chunked(self.software.program_memory, ATTEST_CHUNK_SIZE)
+        measured = crypto.hash_chunked(self.software.contents, ATTEST_CHUNK_SIZE)
         result = 1 if measured == st.sw_hash_expected else 0
         report = AttReport(att_result=result, att_timestamp=self.clock.now)
         self._last_report = report

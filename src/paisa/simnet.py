@@ -341,6 +341,8 @@ class Simulation:
 
         self.devices: Dict[str, Device] = {}
         self._name_by_id: Dict[str, str] = {}
+        # Each image is one bytes object, shared with its device until the
+        # adversary's first write gives the device a private copy.
         self._sw_original: Dict[str, bytes] = {}
         for spec in scenario.devices:
             dev = Device(nonce_source=self.rng)

@@ -1,11 +1,15 @@
 import dataclasses
 import hashlib
 import json
+import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paisa import crypto, wire
-from paisa.device import MAX_SYNC_ATTEMPTS, Device, DeviceError, TimerConfig
+from paisa.device import ATTEST_CHUNK_SIZE, MAX_SYNC_ATTEMPTS, Device, DeviceError, TimerConfig
+from paisa.server import ManufacturerServer
 
 from conftest import SeededNonces, complete_sync
 
@@ -343,3 +347,109 @@ def test_from_state_rejects_malformed_fields(rig, change):
 def test_from_state_rejects_a_document_that_is_not_an_object(doc):
     with pytest.raises(DeviceError):
         Device.from_state(doc, b"")
+
+
+# -- program memory ----------------------------------------------------------
+
+
+def peak_allocated(fn):
+    """The peak bytes that Python allocates while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def provision_kwargs(image):
+    return dict(
+        device_id=b"\x05" * 16, sw_dev=image, mfr_public_key=b"\x00" * 64,
+        short_url="AAAAAAAAAAA", full_url="u", ts_cur=0,
+        timer_config=TimerConfig(10, 10), key_seed=b"\x06" * 32,
+    )
+
+
+_template = Device()
+_template.provision(**provision_kwargs(b""))
+STATE_TEMPLATE = _template.export_state()
+MB_IMAGE = random.Random(11).randbytes(1 << 20)
+MB_STATE = {**STATE_TEMPLATE, "sw_hash": hashlib.sha256(MB_IMAGE).hexdigest()}
+
+
+def test_registering_a_bytes_image_does_not_copy_it():
+    server = ManufacturerServer(crypto.generate_keypair(b"\x33" * 32), nonce_source=SeededNonces(1))
+    dev = Device(nonce_source=SeededNonces(2))
+    peak = peak_allocated(lambda: server.register_device(
+        device=dev,
+        device_id=b"\x09" * 16,
+        sw_dev=MB_IMAGE,
+        full_url="https://mfr.example/manifests/big.json",
+        ts_cur=0,
+        timer_config=TimerConfig(10, 30),
+        key_seed=b"\x44" * 32,
+    ))
+    assert peak < 256 << 10
+    assert dev.software.contents is MB_IMAGE
+
+
+def test_loading_a_bytes_image_from_state_does_not_copy_it():
+    loaded = []
+    assert peak_allocated(lambda: loaded.append(Device.from_state(MB_STATE, MB_IMAGE))) < 256 << 10
+    assert loaded[0].attest().att_result == 1
+
+
+def test_attesting_an_untouched_image_does_not_copy_it():
+    dev = Device.from_state(MB_STATE, MB_IMAGE)
+    assert peak_allocated(dev.attest) < 64 << 10
+    assert dev.software.contents is MB_IMAGE
+
+
+_INDEXED = (st.integers(0, 1 << 16), st.integers(0, 255))
+MEMORY_ACTIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("caller_write"), *_INDEXED),
+        st.tuples(st.just("adversary_write"), *_INDEXED),
+        st.tuples(st.just("restore")),
+        st.tuples(st.just("attest")),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    image=st.binary(min_size=1, max_size=3 * ATTEST_CHUNK_SIZE + 1),
+    kind=st.sampled_from(["bytes", "bytearray", "memoryview"]),
+    via=st.sampled_from(["provision", "from_state"]),
+    actions=MEMORY_ACTIONS,
+)
+def test_device_memory_follows_a_reference_model(image, kind, via, actions):
+    """The device owns its memory: only writes through ``program_memory``
+    reach it, and every attestation measures exactly what is there."""
+    caller_buffer = bytearray(image)
+    given_image = {
+        "bytes": bytes(caller_buffer),
+        "bytearray": caller_buffer,
+        "memoryview": memoryview(caller_buffer),
+    }[kind]
+    expected = hashlib.sha256(image).digest()
+    if via == "provision":
+        dev = Device()
+        dev.provision(**provision_kwargs(given_image))
+    else:
+        dev = Device.from_state({**STATE_TEMPLATE, "sw_hash": expected.hex()}, given_image)
+    model = bytearray(image)
+    for action, *args in actions + [("attest",)]:
+        if action == "caller_write":
+            caller_buffer[args[0] % len(caller_buffer)] = args[1]
+        elif action == "adversary_write":
+            dev.software.program_memory[args[0] % len(model)] = args[1]
+            model[args[0] % len(model)] = args[1]
+        elif action == "restore":  # as the simulator restores a compromised device
+            dev.software.program_memory[:] = image
+            model[:] = image
+        else:
+            report = dev.attest()
+            assert report.att_result == (hashlib.sha256(model).digest() == expected)
+        assert dev.software.contents == model
