@@ -213,7 +213,7 @@ def cmd_device(args: argparse.Namespace) -> int:
         return 1
     _write_json(args.config, dev.export_state())
     while len(frames) < args.count:
-        frames.extend((dev.clock.now, f) for f in dev.tick())
+        frames.extend((dev.clock.now, f) for f in dev.wake())
     pcapio.write_pcap(args.pcap, frames)
     print(f"synced at {dev.trusted.ts_prev}; wrote {len(frames)} announcements to {args.pcap}")
     return 0

@@ -108,7 +108,13 @@ class TrustedState:
 
 
 class Device:
-    """One announcement-capable device driven by a one-second virtual timer."""
+    """One announcement-capable device driven by a one-second virtual timer.
+
+    ``tick`` advances the timer one second. Only announce boundaries are due,
+    so the simulator and ``paisa device`` instead ``wake`` the device once per
+    announcement, at the device time ``next_announce``, for the same frames
+    and reports.
+    """
 
     def __init__(self, nonce_source=None) -> None:
         # Anything with ``randbytes(n)``; SystemRandom's reads os.urandom.
@@ -327,6 +333,21 @@ class Device:
         """Attest and broadcast immediately (the boot-time announcement)."""
         self.attest()
         return [wire.encode_beacon(self.make_announcement(), self.mac)]
+
+    @property
+    def next_announce(self) -> int:
+        """The device time of the next announce boundary after now; every
+        attest boundary is one, as ``t_attest`` is a multiple of ``t_announce``."""
+        t_announce = self._require_provisioned().timer_config.t_announce
+        return (self.clock.now // t_announce + 1) * t_announce
+
+    def wake(self) -> List[bytes]:
+        """Move the timer to the second before the next announce boundary and
+        tick: no second in between is due, so the frames and reports are those
+        of ticking every second up to the boundary."""
+        if self.synced:
+            self.clock.ticks_since_sync += self.next_announce - 1 - self.clock.now
+        return self.tick()
 
     def tick(self) -> List[bytes]:
         """Advance the virtual timer one second; returns any frames to emit.

@@ -23,6 +23,7 @@ import json
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from . import wire
@@ -59,8 +60,7 @@ class FetchError(Exception):
     """Manifest retrieval failed; the caller may retry on the next sighting."""
 
 
-@dataclass(frozen=True)
-class FetchResult:
+class FetchResult(NamedTuple):
     resolved_url: str
     manifest_bytes: bytes
 
@@ -153,8 +153,7 @@ def _parse_manifest(fetched_at: int, fetched: FetchResult) -> _CachedManifest:
     )
 
 
-@dataclass(frozen=True)
-class PresenceReport:
+class PresenceReport(NamedTuple):
     verdict: Verdict
     received_at: int
     announcement_timestamp: int
@@ -166,7 +165,7 @@ class PresenceReport:
 
     def to_json(self) -> str:
         """What ``json.dumps`` of the fields with sorted keys writes, from a template."""
-        device_id = "null" if self.device_id is None else json.dumps(self.device_id)
+        device_id = "null" if self.device_id is None else encode_basestring_ascii(self.device_id)
         manifest = "" if self.manifest is None else f', "manifest": {self.manifest.json_text}'
         return (
             f'{{"announcement_timestamp": {self.announcement_timestamp}, '

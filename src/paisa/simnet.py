@@ -21,6 +21,7 @@ fired) lives in its ``Simulation``, so a loaded ``Scenario`` gives the same
 log each time it is run.
 """
 
+import bisect
 import functools
 import hashlib
 import heapq
@@ -55,26 +56,84 @@ def _flip_bit(data: bytes, bit: int) -> Tuple[bytes, int]:
     return bytes(buf), bit
 
 
+# Ranks are tuples of integers, in lexicographic order: there is always one
+# more between any two, exactly, however often one gap is split.
+_LOWEST = ()  # below every rank: the cursor before any tick of a second
+
+
+def _between(lo: tuple, hi: Optional[tuple]) -> tuple:
+    """A rank strictly between ``lo`` and ``hi`` (None: no bound above)."""
+    if hi is None:
+        return (lo[0] + 1,) if lo else (0,)
+    if hi[: len(lo)] == lo:  # hi extends lo: just below hi's next element
+        return lo + (hi[len(lo)] - 1,)
+    return lo + (0,)
+
+
 class VirtualClock:
-    """Integer-seconds event queue; equal-time events fire in insertion order."""
+    """Integer-seconds event queue in which equal-time events fire in the
+    order that ticking every device once a second would give them.
+
+    A device is woken only at its announce boundaries, but its place among
+    equal-time events is still that of a tick scheduled by its tick one second
+    earlier. That place is its rank, given once by ``new_rank`` when the
+    device starts ticking: ticking devices run in rank order each second,
+    interleaved with the other events. The cursor is the highest rank whose
+    tick of this second has run (ticked virtually or woken), so it tells which
+    next-second ticks an event scheduled now comes after. Keys are
+    ``(t, second scheduled in, rank or cursor, 1 wake / 2 other, seq)``; a
+    wake counts as scheduled in ``t - 1``, by the tick before it.
+    """
 
     def __init__(self) -> None:
         self.now = 0
         self._seq = 0
-        self._heap: List[Tuple[int, int, Callable[[], None]]] = []
+        self._heap: List[tuple] = []
+        self._ranks: List[tuple] = []  # sorted: every rank given so far
+        self._cursor = _LOWEST
 
-    def schedule(self, t: int, fn: Callable[[], None]) -> None:
+    def new_rank(self) -> tuple:
+        """The rank of a device whose first tick is next second: after every
+        tick already scheduled for then, before those still to be scheduled."""
+        above = bisect.bisect_right(self._ranks, self._cursor)
+        rank = _between(self._cursor, self._ranks[above] if above < len(self._ranks) else None)
+        self._ranks.insert(above, rank)
+        self._cursor = rank
+        return rank
+
+    def schedule(self, t: int, fn: Callable[[], None], rank: Optional[tuple] = None) -> None:
+        """Run ``fn`` at ``t``: a wake of the device with ``rank``, or any other event."""
         if t < self.now:
             raise ValueError(f"cannot schedule event in the past ({t} < {self.now})")
         self._seq += 1
-        heapq.heappush(self._heap, (t, self._seq, fn))
+        if rank is not None:
+            key = (t, t - 1, rank, 1, self._seq, fn)
+        else:
+            key = (t, self.now, self._cursor if t == self.now + 1 else _LOWEST, 2, self._seq, fn)
+        heapq.heappush(self._heap, key)
+
+    def _advance(self, t: int) -> None:
+        if t != self.now:
+            self.now = t
+            self._cursor = _LOWEST
 
     def run_until(self, horizon: int) -> None:
+        ranks = self._ranks
         while self._heap and self._heap[0][0] <= horizon:
-            t, _, fn = heapq.heappop(self._heap)
-            self.now = t
+            t, scheduled, label, kind, _, fn = heapq.heappop(self._heap)
+            self._advance(t)
+            if kind == 1:  # every tick ranked below this wake has run
+                below = bisect.bisect_left(ranks, label)
+                self._cursor = max(self._cursor, ranks[below - 1] if below else _LOWEST)
+                fn()
+                self._cursor = label
+                continue
+            if scheduled == t - 1:  # after the ticks ranked up to its label
+                self._cursor = max(self._cursor, label)
+            elif scheduled == t:  # after every tick of this second
+                self._cursor = max(self._cursor, ranks[-1] if ranks else _LOWEST)
             fn()
-        self.now = horizon
+        self._advance(horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +442,7 @@ class Simulation:
     # -- logging ------------------------------------------------------------
 
     def _log(self, event: str, **fields) -> None:
-        entry = {"t": self.clock.now, "event": event}
-        entry.update(fields)
-        self.log.append(entry)
+        self.log.append({"t": self.clock.now, "event": event, **fields})
 
     # -- adversary application ----------------------------------------------
 
@@ -497,19 +554,20 @@ class Simulation:
         self._send_to_server(name, "sync_ack", outcome.reply)
         self._log(outcome.event, device=name, ts=dev.clock.now)
         self._broadcast(name, dev.announce_now())
-        self._schedule_tick(name)
+        self._schedule_wake(name, self.clock.new_rank())
 
     # -- runtime -------------------------------------------------------------
 
-    def _schedule_tick(self, name: str) -> None:
-        next_t = self.clock.now + 1
-        if next_t <= self.scenario.horizon:
-            self.clock.schedule(next_t, lambda: self._tick(name))
+    def _schedule_wake(self, name: str, rank: tuple) -> None:
+        """Wake the device at its next announce boundary, if within the horizon."""
+        dev = self.devices[name]
+        t = self.clock.now + dev.next_announce - dev.clock.now
+        if t <= self.scenario.horizon:
+            self.clock.schedule(t, lambda: self._wake(name, rank), rank=rank)
 
-    def _tick(self, name: str) -> None:
-        frames = self.devices[name].tick()
-        self._broadcast(name, frames)
-        self._schedule_tick(name)
+    def _wake(self, name: str, rank: tuple) -> None:
+        self._broadcast(name, self.devices[name].wake())
+        self._schedule_wake(name, rank)
 
     def _broadcast(self, name: str, frames: List[bytes]) -> None:
         for frame in frames:

@@ -13,6 +13,10 @@ Signatures are made and checked only here: ``signed`` builds a signed
 message from its fields and ``verifies`` checks one, so what each signature
 covers is decided in one place.
 
+An announcement and a beacon decode are immutable tuples (``NamedTuple``),
+as receivers share decodes through their memo. The sync messages stay frozen
+dataclasses, so messages of two types never compare equal.
+
 All multi-byte integers inside signed payloads are big-endian (network order).
 802.11 header fields follow the standard's little-endian layout but sit outside
 every signed region, so their values are protocol-neutral constants.
@@ -24,7 +28,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import crypto
 
@@ -101,8 +105,7 @@ class AnnouncementParseError(ValueError):
         super().__init__(f"{reason}: {detail}")
 
 
-@dataclass(frozen=True)
-class AnnouncementMsg:
+class AnnouncementMsg(NamedTuple):
     """The 116-byte announcement payload broadcast by a device."""
 
     nonce: bytes
@@ -302,7 +305,7 @@ def signed(cls, private_key: bytes, *fields, device_id: Optional[bytes] = None):
 def verifies(msg, public_key: bytes, device_id: Optional[bytes] = None) -> bool:
     """Whether ``msg``'s signature is valid under ``public_key``; an
     announcement is checked against the ``device_id`` it claims to come from."""
-    *fields, signature = vars(msg).values()
+    *fields, signature = msg if type(msg) is AnnouncementMsg else vars(msg).values()
     return crypto.verify(public_key, _digest(type(msg), tuple(fields), device_id), signature)
 
 
@@ -318,12 +321,33 @@ class BeaconVerdict(str, Enum):
     MALFORMED_PAYLOAD = "malformed_payload"
 
 
-@dataclass(frozen=True)
-class BeaconDecode:
+class BeaconDecode(NamedTuple):
     """Outcome of decoding a candidate frame; ``msg`` is set only on OK."""
 
     verdict: BeaconVerdict
     msg: Optional[AnnouncementMsg] = None
+
+
+# One decode per reject verdict, shared by every frame that gets it.
+_NON_BEACON = BeaconDecode(BeaconVerdict.NON_BEACON)
+_WRONG_SSID = BeaconDecode(BeaconVerdict.WRONG_SSID)
+_NO_VENDOR_ELEMENT = BeaconDecode(BeaconVerdict.NO_VENDOR_ELEMENT)
+_MALFORMED_PAYLOAD = BeaconDecode(BeaconVerdict.MALFORMED_PAYLOAD)
+
+
+# Every element of a beacon, up to the announcement that ends the vendor
+# element: the same bytes in every frame.
+_ELEMENTS = (
+    bytes((_ELEM_SSID, len(PAISA_SSID))) + PAISA_SSID
+    + bytes((_ELEM_RATES, len(_RATES))) + _RATES
+    + _DS_PARAM
+    + _TIM
+    + _HT_CAPABILITIES
+    + _EXT_RATES
+    + _HT_INFORMATION
+    + bytes((_ELEM_VENDOR, len(VENDOR_OUI) + ANNOUNCEMENT_LEN)) + VENDOR_OUI
+)
+assert 36 + len(_ELEMENTS) + ANNOUNCEMENT_LEN == BEACON_FRAME_LEN
 
 
 def encode_beacon(msg: AnnouncementMsg, device_mac: bytes) -> bytes:
@@ -348,20 +372,7 @@ def encode_beacon(msg: AnnouncementMsg, device_mac: bytes) -> bytes:
     fixed = struct.pack(
         "<QHH", msg.timestamp * 1_000_000, _BEACON_INTERVAL_TU, _CAPABILITY
     )
-    vendor_body = VENDOR_OUI + payload
-    elements = (
-        bytes((_ELEM_SSID, len(PAISA_SSID))) + PAISA_SSID
-        + bytes((_ELEM_RATES, len(_RATES))) + _RATES
-        + _DS_PARAM
-        + _TIM
-        + _HT_CAPABILITIES
-        + _EXT_RATES
-        + _HT_INFORMATION
-        + bytes((_ELEM_VENDOR, len(vendor_body))) + vendor_body
-    )
-    frame = header + fixed + elements
-    assert len(frame) == BEACON_FRAME_LEN
-    return frame
+    return header + fixed + _ELEMENTS + payload
 
 
 def decode_beacon(frame: bytes) -> BeaconDecode:
@@ -370,7 +381,7 @@ def decode_beacon(frame: bytes) -> BeaconDecode:
     first SSID and the first vendor element whose own value starts with the OUI."""
     end = len(frame)
     if end < 36 or frame[0] != 0x80 or frame[1] != 0x00:
-        return BeaconDecode(BeaconVerdict.NON_BEACON)
+        return _NON_BEACON
     ssid: Optional[bytes] = None
     vendor_payload: Optional[bytes] = None
     off = 36
@@ -386,14 +397,14 @@ def decode_beacon(frame: bytes) -> BeaconDecode:
         off = value_end
 
     if ssid != PAISA_SSID:
-        return BeaconDecode(BeaconVerdict.WRONG_SSID)
+        return _WRONG_SSID
     if vendor_payload is None:
         # Bytes left over: an element was cut short, or one byte trails.
         if off != end:
-            return BeaconDecode(BeaconVerdict.MALFORMED_PAYLOAD)
-        return BeaconDecode(BeaconVerdict.NO_VENDOR_ELEMENT)
+            return _MALFORMED_PAYLOAD
+        return _NO_VENDOR_ELEMENT
     try:
         msg = decode_announcement(vendor_payload)
     except AnnouncementParseError:
-        return BeaconDecode(BeaconVerdict.MALFORMED_PAYLOAD)
+        return _MALFORMED_PAYLOAD
     return BeaconDecode(BeaconVerdict.OK, msg)

@@ -195,6 +195,58 @@ def test_private_key_never_in_emitted_bytes(rig):
         assert sk.hex().encode() not in blob
 
 
+# -- a wake equals the ticks it skips ----------------------------------------
+
+TWIN_MFR = crypto.generate_keypair(b"\x55" * 32)
+TWIN_IMAGE = bytes(range(256)) * 2
+
+
+def synced_twin(timer, ts):
+    """A device synced at ``ts``; two calls give twins, alike in every key,
+    nonce and byte of memory."""
+    dev = Device(nonce_source=SeededNonces(11))
+    dev.provision(
+        device_id=b"\x02" * 16, sw_dev=TWIN_IMAGE, mfr_public_key=TWIN_MFR.public_key,
+        short_url="AAAAAAAAAAA", full_url="https://mfr.example/twin.json", ts_cur=0,
+        timer_config=timer, key_seed=b"\x66" * 32,
+    )
+    req = dev.make_sync_req()
+    resp = wire.signed(wire.SyncResp, TWIN_MFR.private_key, req.device_id, req.n_dev1, bytes(32), ts)
+    assert dev.handle_sync_resp(resp) is not None
+    return dev
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    t_announce=st.integers(1, 10),
+    multiple=st.integers(1, 4),
+    ts=st.integers(0, 100),
+    # Per wake: how far into the gap before it the ticked twin's memory is
+    # written, and the writes as (address, byte).
+    steps=st.lists(
+        st.tuples(st.integers(0, 39), st.lists(st.tuples(st.integers(0, 511), st.integers(0, 255)), max_size=3)),
+        max_size=12,
+    ),
+)
+def test_a_wake_equals_ticking_every_second_to_the_boundary(t_announce, multiple, ts, steps):
+    timer = TimerConfig(t_announce, t_announce * multiple)
+    woken, ticked = synced_twin(timer, ts), synced_twin(timer, ts)
+    assert woken.announce_now() == ticked.announce_now()
+    for at, writes in steps:
+        gap = woken.next_announce - woken.clock.now
+        frames = []
+        for second in range(gap):
+            if second == at % gap:
+                for address, value in writes:
+                    ticked.software.program_memory[address] = value
+            frames.extend(ticked.tick())
+        for address, value in writes:
+            woken.software.program_memory[address] = value
+        assert woken.wake() == frames and len(frames) == 1
+        assert woken.clock == ticked.clock
+        assert woken._last_report == ticked._last_report
+
+
 def link_to(server, now, lose=()):
     """A blocking datagram link to ``server``: every datagram is handled at
     ``now``; the replies to the sends numbered in ``lose`` (from 1) are lost."""

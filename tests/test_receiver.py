@@ -13,6 +13,7 @@ from paisa.receiver import (
     DedupeEntry,
     FetchError,
     Freshness,
+    ManifestSummary,
     PresenceReport,
     Receiver,
     ReceiverConfig,
@@ -103,6 +104,36 @@ def test_verified_report_json(rig):
         '"manufacturer": "Example Manufacturer", "sensors": [], "status": "active"}, '
         '"received_at": 1003, "verdict": "verified"}'
     )
+
+
+# Quotes, backslashes, control, non-ASCII and lone-surrogate characters, among others.
+json_text = st.text(
+    st.one_of(st.sampled_from('"\\\x00\x1f\x7f\xe9\u2028\ud800\udfff\U0001f600'), st.characters(exclude_categories=()))
+)
+summaries = st.builds(
+    ManifestSummary, json_text, json_text, st.lists(json_text).map(tuple),
+    st.lists(json_text).map(tuple), json_text, json_text, st.sampled_from(["active", "revoked"]),
+)
+
+
+@given(
+    verdict=st.sampled_from(Verdict),
+    times=st.tuples(*[st.integers(0, wire.TS_MAX)] * 3),
+    att_result=st.integers(0, 1),
+    device_id=st.none() | json_text,
+    summary=st.none() | summaries,
+    duplicate=st.booleans(),
+)
+def test_report_json_is_json_dumps_of_its_fields(verdict, times, att_result, device_id, summary, duplicate):
+    received_at, announcement_ts, att_ts = times
+    rep = PresenceReport(verdict, received_at, announcement_ts, att_result, att_ts, device_id, summary, duplicate)
+    fields = {
+        "verdict": verdict.value, "received_at": received_at, "announcement_timestamp": announcement_ts,
+        "att_result": att_result, "att_timestamp": att_ts, "device_id": device_id, "duplicate": duplicate,
+    }
+    if summary is not None:
+        fields["manifest"] = {f.name: getattr(summary, f.name) for f in dataclasses.fields(summary) if f.init}
+    assert rep.to_json() == json.dumps(fields, sort_keys=True)
 
 
 def test_non_paisa_frame_returns_decode(rig):

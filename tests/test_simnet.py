@@ -1,10 +1,12 @@
 import gc
 import hashlib
+import heapq
 import json
 import pathlib
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paisa import crypto, simnet, wire
 from paisa.receiver import Receiver
@@ -454,6 +456,128 @@ def test_tamper_sync_discards_then_syncs():
     assert ("server_discard", "sync body must be 148 bytes") in events
     assert ("device_discard", "unexpected_message") in events
     assert ("sync_commit", None) in events
+
+
+# -- wakes against per-second ticking -----------------------------------------
+
+
+class PlainClock:
+    """Equal-time events in insertion order, as a (t, seq) heap."""
+
+    def __init__(self):
+        self.now, self._seq, self._heap = 0, 0, []
+
+    def new_rank(self):
+        return None
+
+    def schedule(self, t, fn, rank=None):
+        assert t >= self.now
+        self._seq += 1
+        heapq.heappush(self._heap, (t, self._seq, fn))
+
+    def run_until(self, horizon):
+        while self._heap and self._heap[0][0] <= horizon:
+            self.now, _, fn = heapq.heappop(self._heap)
+            fn()
+        self.now = horizon
+
+
+class PerSecond(simnet.Simulation):
+    """The reference: every synced device ticked once a second on a PlainClock."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.clock = PlainClock()
+        for receiver in self.receivers:
+            receiver.clock = lambda clock=self.clock: clock.now
+
+    def _schedule_wake(self, name, rank):
+        if self.clock.now < self.scenario.horizon:
+            self.clock.schedule(self.clock.now + 1, lambda: self._tick(name))
+
+    def _tick(self, name):
+        self._broadcast(name, self.devices[name].tick())
+        self._schedule_wake(name, None)
+
+
+def assert_matches_per_second(doc):
+    scenario = simnet.load_scenario(doc)
+    woken, ticked = simnet.Simulation(scenario), PerSecond(scenario)
+    a, b = woken.run(), ticked.run()
+    assert a.log_ndjson() == b.log_ndjson()
+    assert a.beacon_frames == b.beacon_frames
+    return woken
+
+
+@st.composite
+def scenarios(draw):
+    names = [f"d{i}" for i in range(draw(st.integers(1, 12)))]
+    horizon = draw(st.integers(5, 40))
+    devices = []
+    for name in names:
+        t_announce = draw(st.integers(1, 10))
+        devices.append({
+            "name": name, "t_announce": t_announce, "t_attest": t_announce * draw(st.integers(1, 3)),
+            "sw_size": 64, "boot_at": draw(st.integers(0, 5)),
+        })
+    name, at = st.sampled_from(names), st.integers(0, horizon)
+
+    def rules(most, **fields):
+        optional = {"device": name, "max_matches": st.integers(1, 3), "from": st.integers(0, 10)}
+        rule = st.fixed_dictionaries({"link": st.sampled_from(simnet.LINKS), **fields}, optional=optional)
+        return st.lists(rule, max_size=most)
+
+    @st.composite
+    def replay(draw):
+        capture = draw(at)
+        return {"device": draw(name), "capture_time": capture, "inject_at": capture + draw(st.integers(0, 3))}
+
+    @st.composite
+    def compromise(draw):
+        out = {"device": draw(name), "at": draw(at), "flip_byte": draw(st.integers(0, 63))}
+        if draw(st.booleans()):
+            out["restore_at"] = out["at"] + draw(st.integers(0, 10))
+        return out
+
+    replay_sync = st.fixed_dictionaries(
+        {"device": name, "message": st.sampled_from(["sync_req", "sync_ack"]), "delay": st.integers(0, 3)}
+    )
+    adversary = {
+        "delay": draw(rules(6, delay=st.integers(0, 5))),
+        "drop": draw(rules(2, probability=st.sampled_from([0.2, 0.5, 1.0]))),
+        "tamper": draw(rules(2, flip_bit=st.integers(0, 2000))),
+        "replay": draw(st.lists(replay(), max_size=2)),
+        "replay_sync": draw(st.lists(replay_sync, max_size=2)),
+        "compromise": draw(st.lists(compromise(), max_size=2)),
+    }
+    return base_doc(
+        seed=draw(st.integers(0, 2**16)), horizon=horizon, receivers=draw(st.integers(0, 3)),
+        devices=devices, adversary=adversary,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=scenarios())
+def test_wakes_give_the_logs_and_frames_of_per_second_ticks(doc):
+    assert_matches_per_second(doc)
+
+
+def test_syncs_nested_in_one_rank_gap_match_per_second_ticks():
+    """Two devices tick at ranks (-1,) and (0,) when sixty-six more finish
+    sync in one second, before any tick of it. The first of them ranks (-2,),
+    and each later one falls between the one before and (-1,): 65 splits of
+    one gap, more than float midpoints could make."""
+    late = [{"name": f"d{i}", "t_announce": 1 + i % 5, "sw_size": 64, "boot_at": 5} for i in range(66)]
+    doc = base_doc(
+        horizon=20,
+        devices=[
+            {"name": "first", "t_announce": 3, "sw_size": 64},
+            {"name": "second", "t_announce": 4, "sw_size": 64, "boot_at": 2},
+        ] + late,
+        adversary={"delay": [{"link": "server->device", "delay": 2, "from": 1}]},
+    )
+    ranks = assert_matches_per_second(doc).clock._ranks
+    assert ranks == [(-2,) + (0,) * i for i in range(66)] + [(-1,), (0,)]
 
 
 # -- the receivers' shared decode and verify memo ----------------------------
