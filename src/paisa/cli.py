@@ -207,13 +207,13 @@ def cmd_device(args: argparse.Namespace) -> int:
             except socket.timeout:
                 return None
 
-        frames = [(dev.clock.now, f) for f in dev.boot(lambda d: sock.sendto(d, args.server), recv)]
+        frames = [(dev.now, f) for f in dev.boot(lambda d: sock.sendto(d, args.server), recv)]
     if not dev.synced:
         print("time sync failed; device stays silent", file=sys.stderr)
         return 1
     _write_json(args.config, dev.export_state())
     while len(frames) < args.count:
-        frames.extend((dev.clock.now, f) for f in dev.wake())
+        frames.extend((dev.now, f) for f in dev.wake())
     pcapio.write_pcap(args.pcap, frames)
     print(f"synced at {dev.trusted.ts_prev}; wrote {len(frames)} announcements to {args.pcap}")
     return 0

@@ -66,6 +66,15 @@ def _scalar_to_keypair(scalar: int) -> KeyPair:
     return KeyPair(private_key=scalar.to_bytes(32, "big"), public_key=pub)
 
 
+def matched_keypair(private_key: bytes, public_key: bytes) -> KeyPair:
+    """The keypair of two stored halves; ``CryptoError`` unless the public
+    point is the private scalar's (costs one key derivation)."""
+    keys = KeyPair(private_key=private_key, public_key=public_key)
+    if _scalar_to_keypair(int.from_bytes(private_key, "big")) != keys:
+        raise CryptoError("the public key is not the private key's")
+    return keys
+
+
 def generate_keypair(seed: Optional[bytes] = None) -> KeyPair:
     """Generate a keypair; a 32-byte seed makes generation deterministic."""
     if seed is not None:
@@ -159,9 +168,7 @@ def load_keypair(path: str) -> KeyPair:
         lines = [ln.strip() for ln in f if ln.strip()]
     if len(lines) != 2:
         raise CryptoError(f"key file {path!r} must hold two hex lines")
-    keys = KeyPair(
-        private_key=bytes.fromhex(lines[0]), public_key=bytes.fromhex(lines[1])
-    )
-    if _scalar_to_keypair(int.from_bytes(keys.private_key, "big")) != keys:
-        raise CryptoError(f"key file {path!r}: the public key is not the private key's")
-    return keys
+    try:
+        return matched_keypair(bytes.fromhex(lines[0]), bytes.fromhex(lines[1]))
+    except CryptoError as exc:
+        raise CryptoError(f"key file {path!r}: {exc}") from None

@@ -1,5 +1,7 @@
 """The IoT-device state machine: trusted state installed at provisioning,
-boot-time time sync, periodic local attestation, and scheduled announcements.
+boot-time time sync, and one secure timer, the integer ``Device.now``, that
+drives periodic local attestation and scheduled announcements. Trusted state
+the device could not sign its messages from is refused when it is built.
 
 The device owns the time-sync retry policy: ``next_sync_attempt`` hands out
 each SyncReq with the seconds to wait for its reply, up to
@@ -42,6 +44,8 @@ class TimerConfig:
     t_attest: int
 
     def __post_init__(self) -> None:
+        if type(self.t_announce) is not int or type(self.t_attest) is not int:
+            raise TypeError("timer periods must be integers")
         if self.t_announce <= 0 or self.t_attest <= 0:
             raise ValueError("timer periods must be positive")
         if self.t_attest % self.t_announce != 0:
@@ -73,22 +77,6 @@ class NormalSoftware:
         return self._memory
 
 
-@dataclass
-class DeviceClock:
-    """Seconds clock: last synced base plus ticks of the virtual secure timer."""
-
-    base_ts: int = 0
-    ticks_since_sync: int = 0
-
-    @property
-    def now(self) -> int:
-        return self.base_ts + self.ticks_since_sync
-
-    def resync(self, base_ts: int) -> None:
-        self.base_ts = base_ts
-        self.ticks_since_sync = 0
-
-
 @dataclass(frozen=True)
 class AttReport:
     att_result: int
@@ -106,14 +94,28 @@ class TrustedState:
     ts_prev: int
     timer_config: TimerConfig
 
+    def __post_init__(self) -> None:
+        """Refuse state the device could not sign its messages from."""
+        if len(self.device_id) != wire.DEVICE_ID_LEN:
+            raise DeviceError("device_id must be 16 bytes")
+        if type(self.ts_prev) is not int or not 0 <= self.ts_prev <= wire.TS_MAX:
+            raise DeviceError("ts_prev must be an integer that fits the 4-byte timestamp field")
+        url = self.short_url
+        if not (isinstance(url, str) and url.isascii() and len(url) == wire.SHORT_URL_LEN):
+            raise DeviceError("short_url must be 11 ASCII characters")
+        if not isinstance(self.full_url, str):
+            raise DeviceError("full_url must be a string")
+        if len(self.mfr_public_key) != crypto.PUBLIC_KEY_LEN:
+            raise DeviceError("mfr_public_key must be 64 bytes")
+
 
 class Device:
-    """One announcement-capable device driven by a one-second virtual timer.
+    """One announcement-capable device; its secure timer is the integer ``now``.
 
     ``tick`` advances the timer one second. Only announce boundaries are due,
     so the simulator and ``paisa device`` instead ``wake`` the device once per
-    announcement, at the device time ``next_announce``, for the same frames
-    and reports.
+    announcement, straight to ``next_announce``, for the same frames and
+    reports.
     """
 
     def __init__(self, nonce_source=None) -> None:
@@ -121,7 +123,7 @@ class Device:
         self._nonces = nonce_source if nonce_source is not None else random.SystemRandom()
         self.trusted: Optional[TrustedState] = None
         self.software: Optional[NormalSoftware] = None
-        self.clock = DeviceClock()
+        self.now = 0  # the secure timer in device seconds; each sync sets it
         self.synced = False
         self.sync_attempts = 0
         self._pending_sync_nonce: Optional[bytes] = None
@@ -152,28 +154,18 @@ class Device:
         keys = crypto.generate_keypair(key_seed)
         image = bytes(sw_dev)  # the same object for bytes; a mutable image is copied
         sw_hash = crypto.hash_chunked(image, ATTEST_CHUNK_SIZE)
-        self._install(
-            TrustedState(
-                device_id=device_id,
-                sw_hash_expected=sw_hash,
-                mfr_public_key=mfr_public_key,
-                short_url=short_url,
-                full_url=full_url,
-                device_keys=keys,
-                ts_prev=ts_cur,
-                timer_config=timer_config,
-            ),
-            image,
+        self.trusted = TrustedState(
+            device_id=device_id,
+            sw_hash_expected=sw_hash,
+            mfr_public_key=mfr_public_key,
+            short_url=short_url,
+            full_url=full_url,
+            device_keys=keys,
+            ts_prev=ts_cur,
+            timer_config=timer_config,
         )
-        return keys.public_key, sw_hash
-
-    def _install(self, state: TrustedState, image: bytes) -> None:
-        if len(state.device_id) != wire.DEVICE_ID_LEN:
-            raise DeviceError("device_id must be 16 bytes")
-        if not 0 <= state.ts_prev <= wire.TS_MAX:
-            raise DeviceError("ts_prev must fit the 4-byte timestamp field")
         self.software = NormalSoftware(image)
-        self.trusted = state
+        return keys.public_key, sw_hash
 
     def export_state(self) -> dict:
         """The trusted state as a JSON document: the device's secure storage
@@ -198,8 +190,6 @@ class Device:
         ``image`` as its program memory (copied only if it is mutable). A
         malformed document raises ``DeviceError``."""
         try:
-            if not all(type(doc[k]) is int for k in ("ts_prev", "t_announce", "t_attest")):
-                raise TypeError("ts_prev, t_announce and t_attest must be integers")
             state = TrustedState(
                 device_id=bytes.fromhex(doc["device_id"]),
                 sw_hash_expected=bytes.fromhex(doc["sw_hash"]),
@@ -213,10 +203,10 @@ class Device:
                 ts_prev=doc["ts_prev"],
                 timer_config=TimerConfig(doc["t_announce"], doc["t_attest"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, DeviceError) as exc:
             raise DeviceError(f"malformed device state: {exc!r}") from exc
         device = cls(nonce_source)
-        device._install(state, bytes(image))
+        device.trusted, device.software = state, NormalSoftware(bytes(image))
         return device
 
     @property
@@ -262,8 +252,7 @@ class Device:
             return None
         if not wire.verifies(resp, st.mfr_public_key):
             return None
-        st.ts_prev = resp.ts_cur
-        self.clock.resync(resp.ts_cur)
+        st.ts_prev = self.now = resp.ts_cur
         self.synced = True
         self._pending_sync_nonce = None
         n_dev2 = self._nonces.randbytes(wire.NONCE_LEN)
@@ -313,7 +302,7 @@ class Device:
         assert self.software is not None
         measured = crypto.hash_chunked(self.software.contents, ATTEST_CHUNK_SIZE)
         result = 1 if measured == st.sw_hash_expected else 0
-        report = AttReport(att_result=result, att_timestamp=self.clock.now)
+        report = AttReport(att_result=result, att_timestamp=self.now)
         self._last_report = report
         return report
 
@@ -325,43 +314,45 @@ class Device:
         report = self._last_report if self._last_report is not None else self.attest()
         nonce = self._nonces.randbytes(wire.NONCE_LEN)
         return wire.signed(
-            wire.AnnouncementMsg, st.device_keys.private_key, nonce, self.clock.now,
+            wire.AnnouncementMsg, st.device_keys.private_key, nonce, self.now,
             st.short_url, report.att_result, report.att_timestamp, device_id=st.device_id,
         )
+
+    def _beacon(self) -> bytes:
+        return wire.encode_beacon(self.make_announcement(), self.mac)
 
     def announce_now(self) -> List[bytes]:
         """Attest and broadcast immediately (the boot-time announcement)."""
         self.attest()
-        return [wire.encode_beacon(self.make_announcement(), self.mac)]
+        return [self._beacon()]
 
     @property
     def next_announce(self) -> int:
         """The device time of the next announce boundary after now; every
         attest boundary is one, as ``t_attest`` is a multiple of ``t_announce``."""
         t_announce = self._require_provisioned().timer_config.t_announce
-        return (self.clock.now // t_announce + 1) * t_announce
+        return (self.now // t_announce + 1) * t_announce
 
     def wake(self) -> List[bytes]:
-        """Move the timer to the second before the next announce boundary and
-        tick: no second in between is due, so the frames and reports are those
-        of ticking every second up to the boundary."""
-        if self.synced:
-            self.clock.ticks_since_sync += self.next_announce - 1 - self.clock.now
-        return self.tick()
+        """Move the timer to the next announce boundary: no second in between
+        is due, so the frames and reports are those of ticking every second
+        up to it."""
+        return self._advance(self.next_announce)
 
     def tick(self) -> List[bytes]:
-        """Advance the virtual timer one second; returns any frames to emit.
+        """Advance the virtual timer one second; returns any frames to emit."""
+        return self._advance(self.now + 1)
 
-        Scheduled strictly by the clock: nothing the normal software does,
-        including compromise or busy-looping, affects emission.
-        """
+    def _advance(self, now: int) -> List[bytes]:
+        """Set a synced device's timer to ``now`` and attest and announce if it
+        falls on their boundaries, strictly by the clock: nothing the normal
+        software does, including compromise or busy-looping, affects emission."""
         st = self._require_provisioned()
         if not self.synced:
             return []
-        self.clock.ticks_since_sync += 1
-        now = self.clock.now
+        self.now = now
         if now % st.timer_config.t_attest == 0:
             self.attest()
         if now % st.timer_config.t_announce == 0:
-            return [wire.encode_beacon(self.make_announcement(), self.mac)]
+            return [self._beacon()]
         return []

@@ -50,7 +50,7 @@ from .manifest import (
     sign_manifest,
 )
 
-DEFAULT_SESSION_TTL = 60  # seconds of (virtual) time before a pending sync expires
+SESSION_TTL = 60  # seconds of (virtual) time before a pending sync expires
 
 
 class ServerError(RuntimeError):
@@ -119,12 +119,10 @@ class ManufacturerServer:
         self,
         keys: crypto.KeyPair,
         store_path: Optional[str] = None,
-        session_ttl: int = DEFAULT_SESSION_TTL,
         nonce_source=None,
     ) -> None:
         self.keys = keys
         self.store_path = store_path
-        self.session_ttl = session_ttl
         self._nonces = nonce_source if nonce_source is not None else random.SystemRandom()
         self.records: Dict[bytes, DeviceRecord] = {}
         self.manifests: Dict[str, bytes] = {}
@@ -218,7 +216,7 @@ class ManufacturerServer:
     # -- time sync ----------------------------------------------------------
 
     def _expired(self, session: _PendingSession, now: int) -> bool:
-        return now - session.ts_cur > self.session_ttl
+        return now - session.ts_cur > SESSION_TTL
 
     def _expire_sessions(self, now: int) -> None:
         # Amortised O(1): purge from the oldest end while it has expired. A
@@ -308,8 +306,6 @@ class ManufacturerServer:
 
     def _persist(self) -> None:
         """Write the snapshot, which empties the journal."""
-        if self.store_path is None:
-            return
         doc = {
             "keys": {
                 "private_key": self.keys.private_key.hex(),
@@ -353,7 +349,7 @@ class ManufacturerServer:
         self.manifests[record.manifest_path] = document.encode("utf-8")
 
     @classmethod
-    def load(cls, store_path: str, session_ttl: int = DEFAULT_SESSION_TTL, nonce_source=None) -> "ManufacturerServer":
+    def load(cls, store_path: str, nonce_source=None) -> "ManufacturerServer":
         """Read a store file; an unreadable or malformed one raises ``ServerError``."""
         try:
             with open(store_path, "r", encoding="utf-8") as f:
@@ -361,11 +357,10 @@ class ManufacturerServer:
             # The snapshot is the first JSON document; a store written as one
             # indented document (an older format) is a snapshot with no journal.
             doc, end = json.JSONDecoder().raw_decode(text)
-            keys = crypto.KeyPair(
-                private_key=bytes.fromhex(doc["keys"]["private_key"]),
-                public_key=bytes.fromhex(doc["keys"]["public_key"]),
+            keys = crypto.matched_keypair(
+                bytes.fromhex(doc["keys"]["private_key"]), bytes.fromhex(doc["keys"]["public_key"])
             )
-            srv = cls(keys, store_path=store_path, session_ttl=session_ttl, nonce_source=nonce_source)
+            srv = cls(keys, store_path=store_path, nonce_source=nonce_source)
             for rec in doc["records"]:
                 record = _record_from_json(rec)
                 srv.records[record.device_id] = record

@@ -552,7 +552,7 @@ class Simulation:
             return
         self._maybe_capture_sync(name, "sync_ack", outcome.reply)
         self._send_to_server(name, "sync_ack", outcome.reply)
-        self._log(outcome.event, device=name, ts=dev.clock.now)
+        self._log(outcome.event, device=name, ts=dev.now)
         self._broadcast(name, dev.announce_now())
         self._schedule_wake(name, self.clock.new_rank())
 
@@ -561,7 +561,7 @@ class Simulation:
     def _schedule_wake(self, name: str, rank: tuple) -> None:
         """Wake the device at its next announce boundary, if within the horizon."""
         dev = self.devices[name]
-        t = self.clock.now + dev.next_announce - dev.clock.now
+        t = self.clock.now + dev.next_announce - dev.now
         if t <= self.scenario.horizon:
             self.clock.schedule(t, lambda: self._wake(name, rank), rank=rank)
 
@@ -572,7 +572,7 @@ class Simulation:
     def _broadcast(self, name: str, frames: List[bytes]) -> None:
         for frame in frames:
             self.beacon_frames.append((self.clock.now, frame))
-            self._log("announce", device=name, ts=self.devices[name].clock.now)
+            self._log("announce", device=name, ts=self.devices[name].now)
             self._maybe_capture_beacon(name, frame)
             self._send_to_receivers(name, frame)
 

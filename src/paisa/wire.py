@@ -3,11 +3,12 @@ carries it, and the three time-sync datagrams, with the ``SyncOutcome`` that
 both ends return for each sync datagram they handle.
 
 Each signed record is declared once, as the ``struct`` format of its signed
-fields built from the width table: the message layout is those fields plus
-the signature, and the signature preimage is the same fields with the device
-identifier in front where the message does not carry it. Every pack rejects
-a bytes field of the wrong width, so each preimage is injective and no
-message encodes to the wrong length.
+fields built from the width table: the message layout is those fields plus the
+signature, and the signature preimage is the same fields with the device
+identifier in front where the message does not carry it. Every pack rejects a
+field that does not fit its width with ``ValueError``, so each preimage is
+injective and no message encodes to the wrong length; an announcement's
+``validate`` holds the two rules the layout does not fix.
 
 Signatures are made and checked only here: ``signed`` builds a signed
 message from its fields and ``verifies`` checks one, so what each signature
@@ -65,8 +66,11 @@ assert _ANNOUNCEMENT.size == ANNOUNCEMENT_LEN
 
 
 def _pack(layout: struct.Struct, *fields) -> bytes:
-    """Pack ``fields``, rejecting a bytes field that ``struct`` would pad or cut."""
-    out = layout.pack(*fields)
+    """Pack ``fields``; ``ValueError`` for one that does not fit its width."""
+    try:
+        out = layout.pack(*fields)
+    except struct.error as exc:
+        raise ValueError(f"a field does not fit {layout.format!r}: {exc}") from None
     if layout.unpack(out) != fields:
         raise ValueError(f"a field does not match its declared width in {layout.format!r}")
     return out
@@ -116,26 +120,13 @@ class AnnouncementMsg(NamedTuple):
     signature: bytes
 
     def validate(self) -> None:
-        if len(self.nonce) != NONCE_LEN:
-            raise AnnouncementParseError("nonce", "nonce must be 32 bytes")
-        if not 0 <= self.timestamp <= TS_MAX:
-            raise AnnouncementParseError("timestamp", "timestamp out of range")
-        try:
-            url = self.short_url.encode("ascii")
-        except UnicodeEncodeError:
-            raise AnnouncementParseError("short_url", "short URL must be ASCII") from None
-        if len(url) != SHORT_URL_LEN:
-            raise AnnouncementParseError("short_url", "short URL must be 11 ASCII bytes")
+        """The two rules the layout does not fix; ``_pack`` enforces every width."""
         if self.att_result not in (0, 1):
             raise AnnouncementParseError("att_result", "attestation result must be 0 or 1")
-        if not 0 <= self.att_timestamp <= TS_MAX:
-            raise AnnouncementParseError("att_timestamp", "attestation timestamp out of range")
         if self.att_timestamp > self.timestamp:
             raise AnnouncementParseError(
                 "att_timestamp", "attestation timestamp after announcement timestamp"
             )
-        if len(self.signature) != SIG_LEN:
-            raise AnnouncementParseError("signature", "signature must be 64 bytes")
 
 
 def encode_announcement(msg: AnnouncementMsg) -> bytes:
@@ -148,7 +139,7 @@ def encode_announcement(msg: AnnouncementMsg) -> bytes:
 
 
 def decode_announcement(data: bytes) -> AnnouncementMsg:
-    """Parse 116 bytes of adversarial input; the layout fixes all but two rules of validate."""
+    """Parse 116 bytes of adversarial input; the layout fixes every rule but ``validate``'s."""
     if len(data) != ANNOUNCEMENT_LEN:
         raise AnnouncementParseError(
             "length", f"expected {ANNOUNCEMENT_LEN} bytes, got {len(data)}"
@@ -160,13 +151,9 @@ def decode_announcement(data: bytes) -> AnnouncementMsg:
         short_url = url_bytes.decode("ascii")
     except UnicodeDecodeError:
         raise AnnouncementParseError("short_url", "short URL is not ASCII") from None
-    if att_result not in (0, 1):
-        raise AnnouncementParseError("att_result", "attestation result must be 0 or 1")
-    if att_timestamp > timestamp:
-        raise AnnouncementParseError(
-            "att_timestamp", "attestation timestamp after announcement timestamp"
-        )
-    return AnnouncementMsg(nonce, timestamp, short_url, att_result, att_timestamp, signature)
+    msg = AnnouncementMsg(nonce, timestamp, short_url, att_result, att_timestamp, signature)
+    msg.validate()
+    return msg
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,24 @@ def test_provision_with_unloadable_mfr_keys_fails_cleanly(tmp_path, capsys, key_
     assert not (tmp_path / "store.json").exists()
 
 
+def test_store_whose_manufacturer_keys_do_not_match_fails_cleanly(tmp_path, capsys):
+    # Every manifest such a server signed would name a key that does not sign it.
+    mine, other = crypto.generate_keypair(b"\x01" * 32), crypto.generate_keypair(b"\x02" * 32)
+    keys = {"private_key": mine.private_key.hex(), "public_key": other.public_key.hex()}
+    store, image = tmp_path / "store.json", tmp_path / "fw.bin"
+    store.write_text(json.dumps({"keys": keys, "records": [], "manifests": {}, "registry": {}}) + "\n")
+    image.write_bytes(b"\x00" * 64)
+    before = store.read_bytes()
+    rc = main([
+        "provision", "--store", str(store), "--id", "07" * 16, "--image", str(image),
+        "--full-url", "https://mfr.example/manifests/x.json",
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "cannot load store" in err and "not the private key's" in err
+    assert store.read_bytes() == before
+
+
 def free_udp_port():
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
         sock.bind(("127.0.0.1", 0))

@@ -168,6 +168,19 @@ def test_out_of_range_private_scalar_raises_on_every_call(scalar):
             crypto.sign(scalar.to_bytes(32, "big"), digest)
 
 
+def test_keys_and_digests_of_the_wrong_width_are_refused():
+    keys = crypto.generate_keypair(SEED)
+    digest = hashlib.sha256(b"width").digest()
+    sig = crypto.sign(keys.private_key, digest)
+    with pytest.raises(crypto.CryptoError, match="public key must be 64 bytes"):
+        crypto.KeyPair(keys.private_key, keys.public_key[:63])
+    with pytest.raises(crypto.CryptoError, match="private key must be 32 bytes"):
+        crypto.sign(keys.private_key[:31], digest)
+    with pytest.raises(crypto.CryptoError, match="digest must be 32 bytes"):
+        crypto.sign(keys.private_key, digest[:31])
+    assert crypto.verify(keys.public_key, digest[:31], sig) is False
+
+
 def test_key_caches_are_bounded():
     assert crypto._load_public.cache_info().maxsize == 1024
     assert crypto._load_private.cache_info().maxsize == 1024

@@ -61,7 +61,7 @@ def test_full_sync_updates_clock_and_ts_prev(rig):
     dev = rig["device"]
     assert dev.synced
     assert dev.trusted.ts_prev == 1_700_000_000
-    assert dev.clock.now == 1_700_000_000
+    assert dev.now == 1_700_000_000
 
 
 def test_tampered_sync_resp_changes_nothing(rig):
@@ -97,7 +97,7 @@ def test_attest_clean_and_mutated(rig):
 def test_attest_report_timestamp_is_clock_now(rig):
     dev = rig["device"]
     complete_sync(rig["server"], dev, now=100)
-    dev.clock.ticks_since_sync = 42
+    dev.now = 142
     assert dev.attest().att_timestamp == 142
 
 
@@ -128,6 +128,16 @@ def test_two_announcements_differ_in_nonce_and_signature(rig):
     a, b = dev.make_announcement(), dev.make_announcement()
     assert a.nonce != b.nonce
     assert a.signature != b.signature
+
+
+@pytest.mark.parametrize(
+    "use",
+    ["make_sync_req", "attest", "make_announcement", "announce_now", "tick", "wake", "export_state", "mac"],
+)
+def test_a_device_used_before_provisioning_raises(use):
+    dev = Device()
+    with pytest.raises(DeviceError, match="not provisioned"):
+        getattr(dev, use)()
 
 
 def test_unsynced_device_cannot_announce(rig):
@@ -233,7 +243,7 @@ def test_a_wake_equals_ticking_every_second_to_the_boundary(t_announce, multiple
     woken, ticked = synced_twin(timer, ts), synced_twin(timer, ts)
     assert woken.announce_now() == ticked.announce_now()
     for at, writes in steps:
-        gap = woken.next_announce - woken.clock.now
+        gap = woken.next_announce - woken.now
         frames = []
         for second in range(gap):
             if second == at % gap:
@@ -243,7 +253,7 @@ def test_a_wake_equals_ticking_every_second_to_the_boundary(t_announce, multiple
         for address, value in writes:
             woken.software.program_memory[address] = value
         assert woken.wake() == frames and len(frames) == 1
-        assert woken.clock == ticked.clock
+        assert woken.now == ticked.now
         assert woken._last_report == ticked._last_report
 
 
@@ -385,6 +395,11 @@ DROP = object()
         {"t_attest": 25},  # not a multiple of t_announce
         {"t_announce": 10.0},
         {"full_url": DROP},
+        {"full_url": 7},
+        {"short_url": "short"},  # a device that syncs, then cannot pack its announcement
+        {"short_url": 5},
+        {"short_url": "\u00ff" * 11},  # 11 characters, 22 UTF-8 bytes
+        {"mfr_public_key": "00" * 10},  # no SyncResp could verify under it
     ],
     ids=lambda c: ",".join(f"{k}={'missing' if v is DROP else v!r}" for k, v in c.items()),
 )

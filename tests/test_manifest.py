@@ -178,6 +178,34 @@ def test_registry_rejects_wrong_length_key():
         reg.resolve("short")
 
 
+def test_registry_key_for_skips_a_taken_candidate():
+    reg = ShortUrlRegistry()
+    url = "https://mfr.example/manifests/a.json"
+    first = reg.key_for(url)
+    reg.add(first, "https://other.example/squatter.json")
+    key = reg.key_for(url)
+    assert key != first and key == ShortUrlRegistry._candidate(url, 1)
+    reg.add(key, url)
+    assert reg.resolve(key) == url
+
+
+@pytest.mark.parametrize(
+    "key, url",
+    [
+        ("short", "https://mfr.example/a.json"),
+        (5, "https://mfr.example/a.json"),
+        ("\u00ff" * 11, "https://mfr.example/a.json"),
+        ("AAAAAAAAAAA", 7),
+    ],
+    ids=["short_key", "int_key", "non_ascii_key", "int_url"],
+)
+def test_registry_add_refuses_a_bad_key_or_url(key, url):
+    reg = ShortUrlRegistry()
+    with pytest.raises(ManifestError):
+        reg.add(key, url)
+    assert reg.to_dict() == {}
+
+
 def test_registry_serialization_roundtrip():
     reg = ShortUrlRegistry()
     key = register(reg, "https://mfr.example/x.json")

@@ -41,6 +41,18 @@ def test_read_rejects_truncated_record(tmp_path):
         pcapio.read_pcap(str(trunc))
 
 
+@pytest.mark.parametrize("cut", [10, 24 + 8], ids=["global_header", "record_header"])
+def test_read_rejects_a_capture_cut_inside_a_header(tmp_path, cut):
+    path = str(tmp_path / "full.pcap")
+    pcapio.write_pcap(path, [(0, b"\xaa" * 50)])
+    with open(path, "rb") as f:
+        data = f.read()
+    trunc = tmp_path / "cut.pcap"
+    trunc.write_bytes(data[:cut])
+    with pytest.raises(pcapio.PcapError, match="header"):
+        pcapio.read_pcap(str(trunc))
+
+
 def test_empty_capture(tmp_path):
     path = str(tmp_path / "empty.pcap")
     pcapio.write_pcap(path, [])

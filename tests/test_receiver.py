@@ -279,7 +279,7 @@ def test_manifest_cache_avoids_refetch_within_epsilon(rig):
     receiver.process_frame(second)
     assert fetcher.call_count == 1
     clock.now = 1020
-    rig["device"].clock.ticks_since_sync = 20
+    rig["device"].now = 1020
     third = rig["device"].announce_now()[0]
     receiver.process_frame(third)
     assert fetcher.call_count == 2
@@ -311,7 +311,7 @@ def manifest_work(monkeypatch):
 def frame_at(rig, clock, now):
     """A fresh announcement from the synced rig device at receiver time ``now``."""
     clock.now = now
-    rig["device"].clock.ticks_since_sync = now - 1000
+    rig["device"].now = now
     return rig["device"].announce_now()[0]
 
 
@@ -467,6 +467,29 @@ def test_wrongly_typed_manifest_field_is_bad_manifest_signature(rig, key, value)
     rep = receiver.process_frame(frame)
     assert rep.verdict is Verdict.BAD_MANIFEST_SIGNATURE
     assert rep.manifest is None and rep.device_id is None
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("status", "suspended"), ("device_id", "07" * 15)],
+    ids=["unknown_status", "short_device_id"],
+)
+def test_hosted_manifest_that_parses_but_has_no_signed_form_is_bad_manifest_signature(rig, key, value):
+    frame = synced_frame(rig, now=1000)
+    hosted = rig["server"].manifests
+    doc = json.loads(hosted["/manifests/rig.json"])
+    doc[key] = value
+    hosted["/manifests/rig.json"] = json.dumps(doc).encode()
+    receiver, _, _ = make_receiver(rig, now=1000)
+    assert receiver.process_frame(frame).verdict is Verdict.BAD_MANIFEST_SIGNATURE
+
+
+def test_registered_short_url_with_no_hosted_manifest_is_fetch_error(rig):
+    frame = synced_frame(rig, now=1000)
+    del rig["server"].manifests["/manifests/rig.json"]
+    receiver, _, fetcher = make_receiver(rig, now=1000)
+    assert receiver.process_frame(frame).verdict is Verdict.FETCH_ERROR
+    assert fetcher.call_count == 1
 
 
 def test_unencodable_manifest_string_is_bad_manifest_signature(rig):

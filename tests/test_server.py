@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from paisa import crypto, wire
 from paisa.device import Device, DeviceError, TimerConfig
 from paisa.manifest import ManifestError, manifest_from_json, verify_manifest
-from paisa.server import DeviceDescription, ManufacturerServer, ServerError
+from paisa.server import SESSION_TTL, DeviceDescription, ManufacturerServer, ServerError
 
 from conftest import SeededNonces, complete_sync
 
@@ -157,7 +157,7 @@ def test_session_expires_after_ttl(rig):
     dev, server = rig["device"], rig["server"]
     resp = server.handle_sync_req(dev.make_sync_req(), now=40)
     ack = dev.handle_sync_resp(resp)
-    outcome = server.handle_sync_ack(ack, now=40 + server.session_ttl + 1)
+    outcome = server.handle_sync_ack(ack, now=40 + SESSION_TTL + 1)
     assert not outcome.committed and outcome.reason == "unknown_session"
 
 
@@ -337,7 +337,7 @@ def test_registration_refused_by_its_manifest_leaves_the_device_unprovisioned(tm
 
 def test_ack_for_session_past_ttl_rejected_even_after_clock_step_back():
     server, devices = _store_rig(None, n=2)
-    ttl = server.session_ttl
+    ttl = SESSION_TTL
     first, second = devices
     resp_a = server.handle_sync_req(first.make_sync_req(), now=1000)
     # The clock steps back: this session is issued after, but older than, A.
@@ -352,9 +352,41 @@ def test_ack_for_session_past_ttl_rejected_even_after_clock_step_back():
 
 def test_pending_sessions_stay_bounded_over_a_long_storm(rig):
     dev, server = rig["device"], rig["server"]
-    for now in range(5 * server.session_ttl):
+    for now in range(5 * SESSION_TTL):
         assert isinstance(server.handle_sync_req(dev.make_sync_req(), now=now), wire.SyncResp)
-        assert len(server._sessions) <= server.session_ttl + 1
+        assert len(server._sessions) <= SESSION_TTL + 1
+
+
+# -- sync lockouts: the device and the server end up holding different
+# timestamps, so every later SyncReq is refused timestamp_mismatch. ----------
+
+
+def reboot(device, image):
+    """The device as it boots again from the state it saved."""
+    return Device.from_state(device.export_state(), image, nonce_source=SeededNonces(5))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_a_device_whose_sync_ack_was_lost_syncs_again_after_a_reboot(rig):
+    dev, server = rig["device"], rig["server"]
+    assert dev.handle_sync_resp(server.handle_sync_req(dev.make_sync_req(), now=100)) is not None
+    # The SyncAck is lost: the device holds 100, the server still 0.
+    resp = server.handle_sync_req(reboot(dev, rig["sw"]).make_sync_req(), now=200)
+    assert isinstance(resp, wire.SyncResp), resp
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_a_sync_against_a_server_clock_behind_the_provisioning_time_syncs_again():
+    nonces = SeededNonces(12)
+    server = ManufacturerServer(crypto.generate_keypair(b"\x33" * 32), nonce_source=nonces)
+    dev, image = Device(nonce_source=nonces), b"\x00" * 64
+    server.register_device(
+        dev, b"\x0c" * 16, image, "https://mfr.example/manifests/back.json", 100, TimerConfig(10, 10)
+    )
+    # Synced at server time 50: the device holds 50, the server commits 100.
+    assert complete_sync(server, dev, now=50).committed
+    resp = server.handle_sync_req(reboot(dev, image).make_sync_req(), now=60)
+    assert isinstance(resp, wire.SyncResp), resp
 
 
 # -- the store file: snapshot plus journal of registrations and commits -----
@@ -511,7 +543,7 @@ def test_rejected_sync_leaves_store_file_byte_identical(tmp_path):
         (wire.SyncAck(b"\xEE" * 16, ack.n_dev2, ack.n_svr1, ack.ts_prev, ack.signature), 30),
         (wire.SyncAck(ack.device_id, ack.n_dev2, ack.n_svr1, ack.ts_prev + 1, ack.signature), 30),
         (wire.SyncAck(ack.device_id, ack.n_dev2, ack.n_svr1, ack.ts_prev, bytes(bad_sig)), 30),
-        (ack, 30 + server.session_ttl + 1),
+        (ack, 30 + SESSION_TTL + 1),
     ):
         assert not server.handle_sync_ack(forged, now=now).committed
         assert unchanged()

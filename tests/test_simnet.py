@@ -123,11 +123,20 @@ def one_device(**fields):
         {"adversary": {"compromise": [{"device": "a", "at": 5, "busy_loop": "false"}]}},
         {"adversary": {"compromise": [{"device": "a", "at": 5, "busy_loop": 0}]}},
         {"devices": {"name": "a"}},
+        {"adversary": {"replay": [{"device": "a", "capture_time": 10, "inject_at": 5}]}},
+        {"adversary": {"replay_sync": [{"device": "a", "message": "sync_resp"}]}},
     ],
 )
 def test_malformed_value_is_a_scenario_error(overrides):
     with pytest.raises(simnet.ScenarioError):
         simnet.load_scenario(base_doc(**overrides))
+
+
+def test_virtual_clock_refuses_an_event_in_the_past():
+    clock = simnet.VirtualClock()
+    clock.schedule(5, lambda: clock.schedule(4, lambda: None))
+    with pytest.raises(ValueError, match="in the past"):
+        clock.run_until(10)
 
 
 @pytest.mark.parametrize("content", [None, b"\xff\xfe{}"])

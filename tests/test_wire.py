@@ -66,6 +66,43 @@ def test_announcement_att_timestamp_after_timestamp_rejected():
     assert exc.value.reason == "att_timestamp"
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("nonce", bytes(31)),
+        ("nonce", bytes(33)),
+        ("timestamp", -1),
+        ("timestamp", wire.TS_MAX + 1),
+        ("short_url", "short"),
+        ("short_url", "\u00ff" * 11),
+        ("att_result", 2),
+        ("att_timestamp", -1),
+        ("signature", bytes(63)),
+    ],
+)
+def test_encode_announcement_refuses_a_field_its_layout_cannot_hold(field, value):
+    with pytest.raises(ValueError):
+        wire.encode_announcement(make_msg(**{field: value}))
+
+
+def test_signing_refuses_a_timestamp_wider_than_its_field():
+    with pytest.raises(ValueError):
+        wire.signed(
+            wire.AnnouncementMsg, KEYS.private_key, bytes(32), wire.TS_MAX + 1, URL, 1, 0,
+            device_id=bytes(16),
+        )
+
+
+def test_encode_beacon_refuses_a_five_byte_mac():
+    with pytest.raises(ValueError, match="MAC"):
+        wire.encode_beacon(make_msg(), b"\x02" * 5)
+
+
+def test_encode_sync_message_refuses_an_object_that_is_not_a_sync_message():
+    with pytest.raises(TypeError, match="not a sync message"):
+        wire.encode_sync_message(make_msg())
+
+
 @given(
     nonce=st.binary(min_size=32, max_size=32),
     ts=st.integers(min_value=0, max_value=wire.TS_MAX),
