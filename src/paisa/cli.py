@@ -20,16 +20,6 @@ from .device import Device, DeviceError, TimerConfig
 from .receiver import Receiver, ReceiverConfig, RegistryFetcher
 from .server import DeviceDescription, ManufacturerServer, ServerError
 
-DEFAULT_KEY_DIR_ENV = "PAISA_KEY_DIR"
-
-
-def _key_path(args_path: Optional[str], name: str) -> str:
-    if args_path:
-        return args_path
-    base = os.environ.get(DEFAULT_KEY_DIR_ENV, ".")
-    return os.path.join(base, name)
-
-
 def _load_store(path: str) -> Optional[ManufacturerServer]:
     """The server in a store file, or None (reported) if it cannot be loaded."""
     try:
@@ -45,13 +35,12 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     except crypto.CryptoError as exc:
         print(f"keygen failed: {exc}", file=sys.stderr)
         return 1
-    path = _key_path(args.out, "paisa.key")
     try:
-        crypto.save_keypair(path, keys)
+        crypto.save_keypair(args.out, keys)
     except OSError as exc:
-        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return 1
-    print(f"wrote keypair to {path}")
+    print(f"wrote keypair to {args.out}")
     print(f"public_key {keys.public_key.hex()}")
     return 0
 
@@ -74,7 +63,7 @@ def cmd_provision(args: argparse.Namespace) -> int:
             return 1
     else:
         try:
-            keys = crypto.load_keypair(_key_path(args.mfr_keys, "paisa.key"))
+            keys = crypto.load_keypair(args.mfr_keys)
         except (OSError, ValueError) as exc:  # ValueError includes CryptoError
             print(f"cannot load manufacturer keys: {exc}", file=sys.stderr)
             return 1
@@ -216,13 +205,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("keygen", help="generate a keypair file")
-    p.add_argument("--out", help="output path (default $PAISA_KEY_DIR/paisa.key)")
+    p.add_argument("--out", default="paisa.key", help="output path (default %(default)s)")
     p.add_argument("--seed", type=bytes.fromhex, help="32-byte hex seed for deterministic generation")
     p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("provision", help="register a device and publish its manifest")
     p.add_argument("--store", required=True, help="server store JSON path")
-    p.add_argument("--mfr-keys", help="manufacturer key file (for a new store)")
+    p.add_argument("--mfr-keys", default="paisa.key", help="manufacturer key file (for a new store)")
     p.add_argument("--id", required=True, type=bytes.fromhex, help="16-byte device id, hex")
     p.add_argument("--image", required=True, help="software image path")
     p.add_argument("--full-url", required=True, help="full manifest URL")

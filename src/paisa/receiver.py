@@ -15,6 +15,12 @@ a given device key, once per memo: a bounded ``OrderedDict`` that a receiver
 owns, or that a simulation shares among its receivers. Both are pure
 functions keyed by their full input, so a forged or tampered frame is a
 different key.
+
+A frame is flagged ``duplicate`` when this receiver saw its signature within
+epsilon; it holds only the signatures of the last epsilon seconds. After a
+backward clock step a signature already forgotten is not flagged, and the
+table holds every sighting until the clock catches up. A hard cap on it under
+a flood of forged frames is still open (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -87,11 +93,11 @@ class RegistryFetcher:
         return FetchResult(resolved_url=full_url, manifest_bytes=doc)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ReceiverConfig:
     epsilon: int = 10
     future_skew: int = 2
-    manifest_fetcher: Optional[object] = None
+    manifest_fetcher: object
     pinned_mfr_keys: Optional[frozenset] = None
 
     def __post_init__(self) -> None:
@@ -204,13 +210,11 @@ class Receiver:
     """
 
     def __init__(self, cfg: ReceiverConfig, clock: Callable[[], int], memo: Optional[OrderedDict] = None):
-        if cfg.manifest_fetcher is None:
-            raise ValueError("receiver needs a manifest fetcher")
         self.cfg = cfg
         self.clock = clock
         self._memo = OrderedDict() if memo is None else memo
         self._manifest_cache: Dict[str, _CachedManifest] = {}
-        self._recent_sigs: Dict[bytes, int] = {}
+        self._recent_sigs: OrderedDict[bytes, int] = OrderedDict()  # last sighting, oldest first
 
     # -- manifest retrieval with a short-lived cache ------------------------
 
@@ -232,13 +236,12 @@ class Receiver:
         return entry
 
     def _is_duplicate(self, signature: bytes, now: int) -> bool:
-        last = self._recent_sigs.get(signature)
-        self._recent_sigs[signature] = now
-        if len(self._recent_sigs) > 10000:
-            cutoff = now - self.cfg.epsilon
-            self._recent_sigs = {
-                s: t for s, t in self._recent_sigs.items() if t >= cutoff
-            }
+        recent = self._recent_sigs
+        last = recent.pop(signature, None)
+        recent[signature] = now
+        cutoff = now - self.cfg.epsilon
+        while next(iter(recent.values())) < cutoff:  # stops at the entry just set, at the latest
+            recent.popitem(last=False)
         return last is not None and now - last <= self.cfg.epsilon
 
     # -- pipeline -----------------------------------------------------------

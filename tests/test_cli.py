@@ -34,6 +34,38 @@ def test_keygen_without_seed_differs(tmp_path):
     assert crypto.load_keypair(a) != crypto.load_keypair(b)
 
 
+def test_keygen_and_provision_default_to_paisa_key_in_the_working_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fw.bin").write_bytes(b"\x00" * 64)
+    assert main(["keygen", "--seed", SEED]) == 0
+    assert main([
+        "provision", "--store", "store.json", "--id", "07" * 16, "--image", "fw.bin",
+        "--full-url", "https://mfr.example/manifests/x.json",
+    ]) == 0
+    keys = crypto.load_keypair(str(tmp_path / "paisa.key"))
+    assert ManufacturerServer.load(str(tmp_path / "store.json")).keys == keys
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["keygen", "--out", "k.key", "--seed", "ab" * 31], "keygen failed"),
+        (
+            ["provision", "--store", "store.json", "--id", "07" * 16, "--image", "missing.bin",
+             "--full-url", "https://mfr.example/manifests/x.json"],
+            "cannot read image",
+        ),
+    ],
+    ids=["short_seed", "missing_image"],
+)
+def test_unusable_input_fails_cleanly_and_writes_nothing(tmp_path, monkeypatch, capsys, argv, error):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(error) and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def provision(tmp_path, device_id="07" * 16, device_out=None, full_url=None):
     keyfile = str(tmp_path / "mfr.key")
     store = str(tmp_path / "store.json")
@@ -180,6 +212,13 @@ def test_simulate_prints_summary_and_writes_artifacts(tmp_path, capsys):
     assert len(pcapio.read_pcap(pcap)) == 183
 
 
+def test_simulate_without_receivers_prints_no_verdicts(tmp_path, capsys):
+    scenario = tmp_path / "quiet.json"
+    scenario.write_text(json.dumps(json.loads((SCENARIOS / "honest.json").read_text()) | {"receivers": 0}))
+    assert main(["simulate", str(scenario)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["verdict            count", "(no verdicts)"]
+
+
 def test_simulate_bad_scenario_nonzero_exit(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"devices": [], "surprise": 1}))
@@ -212,13 +251,19 @@ def test_scan_counts_verified(tmp_path, capsys):
     store = str(tmp_path / "store.json")
     sim.server.store_path = store
     sim.server._persist()
+    # A foreign network's beacon and a cut frame are counted but not reported.
+    frames = pcapio.read_pcap(pcap)
+    last_ts, frame = frames[-1]
+    foreign = frame[:36] + b"\x00\x07HomeNet" + b"\x01\x04\x82\x84\x8b\x96"
+    pcapio.write_pcap(pcap, frames + [(last_ts, foreign), (last_ts, frame[:100])])
 
     rc = main(["scan", "--input", pcap, "--store", store])
     assert rc == 0
     captured = capsys.readouterr()
-    assert "183 verified of 183 frames" in captured.err
-    first = json.loads(captured.out.strip().split("\n")[0])
-    assert first["verdict"] == "verified"
+    assert "183 verified of 185 frames" in captured.err
+    lines = captured.out.strip().split("\n")
+    assert len(lines) == 183
+    assert json.loads(lines[0])["verdict"] == "verified"
 
 
 def test_scan_with_wrong_pin_rejects_everything(tmp_path, capsys):

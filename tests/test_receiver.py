@@ -76,7 +76,7 @@ def test_freshness_boundary_exactly_epsilon_old_is_stale():
 
 def test_negative_epsilon_rejected():
     with pytest.raises(ValueError):
-        ReceiverConfig(epsilon=-1)
+        ReceiverConfig(epsilon=-1, manifest_fetcher=object())
 
 
 # -- pipeline ----------------------------------------------------------------
@@ -400,6 +400,36 @@ def test_replay_outside_epsilon_is_stale_not_duplicate(rig):
     rep = receiver.process_frame(frame)
     assert rep.verdict is Verdict.STALE
     assert not rep.duplicate
+
+
+def forged_stale_frame(rng):
+    msg = wire.AnnouncementMsg(rng.randbytes(32), 0, "AbCdEfGhIjK", 1, 0, rng.randbytes(64))
+    return wire.encode_beacon(msg, b"\x02" * 6)
+
+
+def test_duplicate_table_holds_only_the_last_epsilon_seconds_under_a_flood(rig):
+    # 400 forged stale frames a second, each with its own signature, for 30 s:
+    # the table keeps those of the last epsilon + 1 whole seconds, no more.
+    receiver, clock, fetcher = make_receiver(rig, epsilon=10)
+    rng = random.Random(7)
+    for second in range(30):
+        clock.now = 1000 + second
+        for _ in range(400):
+            assert receiver.process_frame(forged_stale_frame(rng)).verdict is Verdict.STALE
+        assert len(receiver._recent_sigs) == 400 * min(second + 1, 11) <= 4400
+    assert fetcher.call_count == 0
+
+
+def test_a_signature_forgotten_before_a_backward_clock_step_is_not_a_duplicate(rig):
+    receiver, clock, _ = make_receiver(rig, now=1000, epsilon=10)
+    rng = random.Random(8)
+    frame = forged_stale_frame(rng)
+    receiver.process_frame(frame)
+    clock.now = 1011  # any frame now forgets the first signature
+    receiver.process_frame(forged_stale_frame(rng))
+    clock.now = 1005
+    assert not receiver.process_frame(frame).duplicate
+    assert receiver.process_frame(frame).duplicate
 
 
 # -- dedupe ------------------------------------------------------------------

@@ -253,6 +253,8 @@ def test_receiver_agrees_with_the_reference(descs, script):
             continue
         assert isinstance(got, PresenceReport)
         assert (got.verdict.value, got.duplicate, got.device_id) == want
+        # The receiver holds exactly the signatures seen in the last epsilon seconds.
+        assert set(receiver._recent_sigs) == {s for s, t in reference.window if now[0] - t <= EPSILON}
         assert got.to_json() == json.dumps(report_doc(got), sort_keys=True)
 
 
