@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 from . import crypto, pcapio, simnet, wire
 from .device import Device, DeviceError, TimerConfig
-from .receiver import Receiver, ReceiverConfig, RegistryFetcher
+from .receiver import EPSILON, Receiver, ReceiverConfig, RegistryFetcher
 from .server import DeviceDescription, ManufacturerServer, ServerError
 
 def _load_store(path: str) -> Optional[ManufacturerServer]:
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="verify announcements from a pcap capture")
     p.add_argument("--input", required=True, help="pcap file of 802.11 frames")
     p.add_argument("--store", required=True, help="server store JSON (registry + manifests)")
-    p.add_argument("--epsilon", type=int, default=10)
+    p.add_argument("--epsilon", type=int, default=EPSILON)
     p.add_argument("--pin", type=bytes.fromhex, help="pinned manufacturer public key, hex")
     p.set_defaults(func=cmd_scan)
 

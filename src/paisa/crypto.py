@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from cryptography.hazmat.primitives import hashes
@@ -66,11 +66,10 @@ def _scalar_to_keypair(scalar: int) -> KeyPair:
     return KeyPair(private_key=scalar.to_bytes(32, "big"), public_key=pub)
 
 
-def matched_keypair(private_key: bytes, public_key: bytes) -> KeyPair:
-    """The keypair of two stored halves; ``CryptoError`` unless the public
-    point is the private scalar's (costs one key derivation)."""
-    keys = KeyPair(private_key=private_key, public_key=public_key)
-    if _scalar_to_keypair(int.from_bytes(private_key, "big")) != keys:
+def matched_keypair(keys: KeyPair) -> KeyPair:
+    """``keys`` as stored, checked: ``CryptoError`` unless the public point
+    is the private scalar's (costs one key derivation)."""
+    if _scalar_to_keypair(int.from_bytes(keys.private_key, "big")) != keys:
         raise CryptoError("the public key is not the private key's")
     return keys
 
@@ -167,6 +166,27 @@ def write_owner_only(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+_BYTES = (bytes, "bytes")  # a field's type is a string under postponed annotations
+
+
+def record_to_json(record) -> dict:
+    """The dataclass ``record`` as the JSON object its file holds: its fields
+    in declared order, each ``bytes`` one as lowercase hex, the rest as is."""
+    return {
+        f.name: getattr(record, f.name).hex() if f.type in _BYTES else getattr(record, f.name)
+        for f in fields(record)
+    }
+
+
+def record_from_json(cls, doc):
+    """The ``cls`` record of a ``record_to_json`` object: ``KeyError`` for a
+    missing field, ``TypeError`` or ``ValueError`` for bad hex; ``cls``
+    checks everything else."""
+    return cls(**{
+        f.name: bytes.fromhex(doc[f.name]) if f.type in _BYTES else doc[f.name] for f in fields(cls)
+    })
+
+
 def save_keypair(path: str, keys: KeyPair) -> None:
     """Write a keypair as hex, one value per line (private scalar, public point)."""
     write_owner_only(path, keys.private_key.hex() + "\n" + keys.public_key.hex() + "\n")
@@ -180,6 +200,6 @@ def load_keypair(path: str) -> KeyPair:
     if len(lines) != 2:
         raise CryptoError(f"key file {path!r} must hold two hex lines")
     try:
-        return matched_keypair(bytes.fromhex(lines[0]), bytes.fromhex(lines[1]))
+        return matched_keypair(KeyPair(bytes.fromhex(lines[0]), bytes.fromhex(lines[1])))
     except CryptoError as exc:
         raise CryptoError(f"key file {path!r}: {exc}") from None

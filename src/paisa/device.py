@@ -1,7 +1,9 @@
 """The IoT-device state machine: trusted state installed at provisioning,
 boot-time time sync, and one secure timer, the integer ``Device.now``, that
 drives periodic local attestation and scheduled announcements. Trusted state
-the device could not sign its messages from is refused when it is built.
+the device could not sign its messages from is refused when it is built. The
+device file is that state as ``crypto.record_to_json`` writes it: the fields
+of ``TrustedState``, in order, with each ``bytes`` value in hex.
 
 The device owns the time-sync retry policy: ``next_sync_attempt`` hands out
 each SyncReq with the seconds to wait for its reply, up to
@@ -85,14 +87,18 @@ class AttReport:
 
 @dataclass
 class TrustedState:
+    """The device's secure storage; its fields, in order, are the device file's keys."""
+
     device_id: bytes
-    sw_hash_expected: bytes
+    private_key: bytes
+    public_key: bytes
     mfr_public_key: bytes
     short_url: str
     full_url: str
-    device_keys: crypto.KeyPair
+    sw_hash: bytes
     ts_prev: int
-    timer_config: TimerConfig
+    t_announce: int
+    t_attest: int
 
     def __post_init__(self) -> None:
         """Refuse state the device could not sign its messages or attest from."""
@@ -107,8 +113,10 @@ class TrustedState:
             raise DeviceError("full_url must be a string")
         if len(self.mfr_public_key) != crypto.PUBLIC_KEY_LEN:
             raise DeviceError("mfr_public_key must be 64 bytes")
-        if len(self.sw_hash_expected) != crypto.DIGEST_LEN:
+        if len(self.sw_hash) != crypto.DIGEST_LEN:
             raise DeviceError("sw_hash must be 32 bytes")
+        crypto.KeyPair(self.private_key, self.public_key)
+        TimerConfig(self.t_announce, self.t_attest)
 
 
 class Device:
@@ -157,14 +165,10 @@ class Device:
         image = bytes(sw_dev)  # the same object for bytes; a mutable image is copied
         sw_hash = crypto.hash_chunked(image, ATTEST_CHUNK_SIZE)
         self.trusted = TrustedState(
-            device_id=device_id,
-            sw_hash_expected=sw_hash,
-            mfr_public_key=mfr_public_key,
-            short_url=short_url,
-            full_url=full_url,
-            device_keys=keys,
-            ts_prev=ts_cur,
-            timer_config=timer_config,
+            device_id=device_id, private_key=keys.private_key, public_key=keys.public_key,
+            mfr_public_key=mfr_public_key, short_url=short_url, full_url=full_url,
+            sw_hash=sw_hash, ts_prev=ts_cur, t_announce=timer_config.t_announce,
+            t_attest=timer_config.t_attest,
         )
         self.software = NormalSoftware(image)
         return keys.public_key, sw_hash
@@ -172,19 +176,7 @@ class Device:
     def export_state(self) -> dict:
         """The trusted state as a JSON document: the device's secure storage
         when it lives in a file between runs (see ``from_state``)."""
-        st = self._require_provisioned()
-        return {
-            "device_id": st.device_id.hex(),
-            "private_key": st.device_keys.private_key.hex(),
-            "public_key": st.device_keys.public_key.hex(),
-            "mfr_public_key": st.mfr_public_key.hex(),
-            "short_url": st.short_url,
-            "full_url": st.full_url,
-            "sw_hash": st.sw_hash_expected.hex(),
-            "ts_prev": st.ts_prev,
-            "t_announce": st.timer_config.t_announce,
-            "t_attest": st.timer_config.t_attest,
-        }
+        return crypto.record_to_json(self._require_provisioned())
 
     @classmethod
     def from_state(cls, doc: dict, image: bytes, nonce_source=None) -> "Device":
@@ -192,19 +184,7 @@ class Device:
         ``image`` as its program memory (copied only if it is mutable). A
         malformed document raises ``DeviceError``."""
         try:
-            state = TrustedState(
-                device_id=bytes.fromhex(doc["device_id"]),
-                sw_hash_expected=bytes.fromhex(doc["sw_hash"]),
-                mfr_public_key=bytes.fromhex(doc["mfr_public_key"]),
-                short_url=doc["short_url"],
-                full_url=doc["full_url"],
-                device_keys=crypto.KeyPair(
-                    private_key=bytes.fromhex(doc["private_key"]),
-                    public_key=bytes.fromhex(doc["public_key"]),
-                ),
-                ts_prev=doc["ts_prev"],
-                timer_config=TimerConfig(doc["t_announce"], doc["t_attest"]),
-            )
+            state = crypto.record_from_json(TrustedState, doc)
         except (KeyError, TypeError, ValueError, DeviceError) as exc:
             raise DeviceError(f"malformed device state: {exc!r}") from exc
         device = cls(nonce_source)
@@ -230,7 +210,7 @@ class Device:
         n_dev1 = self._nonces.randbytes(wire.NONCE_LEN)
         self._pending_sync_nonce = n_dev1
         return wire.signed(
-            wire.SyncReq, st.device_keys.private_key, st.device_id, n_dev1, st.ts_prev
+            wire.SyncReq, st.private_key, st.device_id, n_dev1, st.ts_prev
         )
 
     def next_sync_attempt(self) -> Optional[Tuple[bytes, int]]:
@@ -259,7 +239,7 @@ class Device:
         self._pending_sync_nonce = None
         n_dev2 = self._nonces.randbytes(wire.NONCE_LEN)
         return wire.signed(
-            wire.SyncAck, st.device_keys.private_key, st.device_id, n_dev2, resp.n_svr1, st.ts_prev
+            wire.SyncAck, st.private_key, st.device_id, n_dev2, resp.n_svr1, st.ts_prev
         )
 
     def handle_sync_datagram(self, data: bytes) -> wire.SyncOutcome:
@@ -303,7 +283,7 @@ class Device:
         st = self._require_provisioned()
         assert self.software is not None
         measured = crypto.hash_chunked(self.software.contents, ATTEST_CHUNK_SIZE)
-        result = 1 if measured == st.sw_hash_expected else 0
+        result = 1 if measured == st.sw_hash else 0
         report = AttReport(att_result=result, att_timestamp=self.now)
         self._last_report = report
         return report
@@ -316,7 +296,7 @@ class Device:
         report = self._last_report if self._last_report is not None else self.attest()
         nonce = self._nonces.randbytes(wire.NONCE_LEN)
         return wire.signed(
-            wire.AnnouncementMsg, st.device_keys.private_key, nonce, self.now,
+            wire.AnnouncementMsg, st.private_key, nonce, self.now,
             st.short_url, report.att_result, report.att_timestamp, device_id=st.device_id,
         )
 
@@ -332,7 +312,7 @@ class Device:
     def next_announce(self) -> int:
         """The device time of the next announce boundary after now; every
         attest boundary is one, as ``t_attest`` is a multiple of ``t_announce``."""
-        t_announce = self._require_provisioned().timer_config.t_announce
+        t_announce = self._require_provisioned().t_announce
         return (self.now // t_announce + 1) * t_announce
 
     def wake(self) -> List[bytes]:
@@ -353,8 +333,8 @@ class Device:
         if not self.synced:
             return []
         self.now = now
-        if now % st.timer_config.t_attest == 0:
+        if now % st.t_attest == 0:
             self.attest()
-        if now % st.timer_config.t_announce == 0:
+        if now % st.t_announce == 0:
             return [self._beacon()]
         return []

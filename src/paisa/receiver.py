@@ -93,26 +93,30 @@ class RegistryFetcher:
         return FetchResult(resolved_url=full_url, manifest_bytes=doc)
 
 
+EPSILON = 10  # the default tolerance window, in seconds
+FUTURE_SKEW = 2  # seconds a frame may be dated ahead of the receiver's clock
+
+
 @dataclass(kw_only=True)
 class ReceiverConfig:
-    epsilon: int = 10
-    future_skew: int = 2
+    epsilon: int = EPSILON
     manifest_fetcher: object
     pinned_mfr_keys: Optional[frozenset] = None
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0 or self.future_skew < 0:
-            raise ValueError("tolerance windows must be non-negative")
+        if self.epsilon < 0:
+            raise ValueError("epsilon must be non-negative")
 
 
 def check_freshness(ts_dev: int, ts_udev: int, cfg: ReceiverConfig) -> Freshness:
     """Accept ts_dev iff it lies strictly inside the tolerance window.
 
     Stale when ``(ts_udev - epsilon) < ts_dev`` fails (strict inequality, so a
-    frame exactly epsilon old is already stale). Future-dated frames beyond a
-    small skew are rejected symmetrically so pre-dated replays cannot hide.
+    frame exactly epsilon old is already stale). Frames dated more than
+    ``FUTURE_SKEW`` ahead are rejected symmetrically so pre-dated replays
+    cannot hide.
     """
-    if ts_dev > ts_udev + cfg.future_skew:
+    if ts_dev > ts_udev + FUTURE_SKEW:
         return Freshness.FUTURE
     if not (ts_udev - cfg.epsilon < ts_dev):
         return Freshness.STALE

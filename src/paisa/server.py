@@ -8,9 +8,11 @@ persist on write so a restart never loses one.
 
 The store file is a snapshot followed by a journal. Line 1 is the whole
 state (``keys``, ``records``, ``manifests``, ``registry``) as compact JSON; it
-is written to a temporary file and renamed into place. After it, each write
-appends one line, so it costs one small write instead of a rewrite of every
-record:
+is written to a temporary file and renamed into place. Each record, and the
+``keys`` object, is written by ``crypto.record_to_json``: the fields of
+``DeviceRecord`` (of ``crypto.KeyPair``), in order, with ``bytes`` in hex.
+After the snapshot, each write appends one line, so it costs one small write
+instead of a rewrite of every record:
 
 - a registration line, ``{"record": {...}, "manifest": text, "short_url":
   key, "full_url": url}``, adds a device record, its manifest document and its
@@ -63,6 +65,12 @@ class DeviceRecord:
     latest_ts: int
     manifest_path: str
 
+    def __post_init__(self) -> None:
+        if type(self.latest_ts) is not int:
+            raise TypeError(f"record {self.device_id.hex()} has no integer latest_ts")
+        if type(self.manifest_path) is not str:
+            raise TypeError(f"record {self.device_id.hex()} has no string manifest_path")
+
 
 @dataclass
 class _PendingSession:
@@ -83,29 +91,6 @@ class DeviceDescription:
     network_interfaces: Tuple[str, ...] = ("wifi",)
     owner_id: str = "owner-0"
     deployment_location: str = "unspecified"
-
-
-def _record_to_json(record: DeviceRecord) -> dict:
-    return {
-        "device_id": record.device_id.hex(),
-        "device_public_key": record.device_public_key.hex(),
-        "latest_ts": record.latest_ts,
-        "manifest_path": record.manifest_path,
-    }
-
-
-def _record_from_json(rec: dict) -> DeviceRecord:
-    """The record in a store document; ``TypeError`` or ``ValueError`` if malformed."""
-    if type(rec["latest_ts"]) is not int:
-        raise TypeError(f"record {rec['device_id']} has no integer latest_ts")
-    if type(rec["manifest_path"]) is not str:
-        raise TypeError(f"record {rec['device_id']} has no string manifest_path")
-    return DeviceRecord(
-        bytes.fromhex(rec["device_id"]),
-        bytes.fromhex(rec["device_public_key"]),
-        rec["latest_ts"],
-        rec["manifest_path"],
-    )
 
 
 class ManufacturerServer:
@@ -200,7 +185,7 @@ class ManufacturerServer:
         if self.store_path is not None:
             self._append(
                 {
-                    "record": _record_to_json(record),
+                    "record": crypto.record_to_json(record),
                     "manifest": document.decode("utf-8"),
                     "short_url": short_url,
                     "full_url": full_url,
@@ -306,11 +291,8 @@ class ManufacturerServer:
     def _persist(self) -> None:
         """Write the snapshot, which empties the journal."""
         doc = {
-            "keys": {
-                "private_key": self.keys.private_key.hex(),
-                "public_key": self.keys.public_key.hex(),
-            },
-            "records": [_record_to_json(r) for r in self.records.values()],
+            "keys": crypto.record_to_json(self.keys),
+            "records": [crypto.record_to_json(r) for r in self.records.values()],
             "manifests": {p: data.decode("utf-8") for p, data in self.manifests.items()},
             "registry": self.registry.to_dict(),
         }
@@ -332,7 +314,7 @@ class ManufacturerServer:
                 raise TypeError("it has no integer latest_ts")
             record.latest_ts = max(record.latest_ts, latest_ts)
             return
-        record = _record_from_json(entry["record"])
+        record = crypto.record_from_json(DeviceRecord, entry["record"])
         document = entry["manifest"]
         if type(document) is not str:
             raise TypeError("its manifest is not a string")
@@ -353,12 +335,10 @@ class ManufacturerServer:
             # The snapshot is the first JSON document; a store written as one
             # indented document (an older format) is a snapshot with no journal.
             doc, end = json.JSONDecoder().raw_decode(text)
-            keys = crypto.matched_keypair(
-                bytes.fromhex(doc["keys"]["private_key"]), bytes.fromhex(doc["keys"]["public_key"])
-            )
+            keys = crypto.matched_keypair(crypto.record_from_json(crypto.KeyPair, doc["keys"]))
             srv = cls(keys, store_path=store_path, nonce_source=nonce_source)
             for rec in doc["records"]:
-                record = _record_from_json(rec)
+                record = crypto.record_from_json(DeviceRecord, rec)
                 srv.records[record.device_id] = record
             srv.manifests = {p: data.encode("utf-8") for p, data in doc["manifests"].items()}
             srv.registry = ShortUrlRegistry.from_dict(doc["registry"])

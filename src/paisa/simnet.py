@@ -34,6 +34,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple, Union, get_args, 
 from . import crypto
 from .device import Device, TimerConfig
 from .receiver import (
+    EPSILON,
     PresenceReport,
     Receiver,
     ReceiverConfig,
@@ -160,7 +161,6 @@ class _LinkRule:
     link: str
     device: Optional[str] = None
     from_t: int = _key(0, key="from")
-    until_t: Optional[int] = _key(None, key="until")
     max_matches: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -171,12 +171,7 @@ class _LinkRule:
         """Whether the rule acts on this send. ``matched`` is the run's count of
         sends taken by each rule with ``max_matches``, keyed by ``id(rule)``
         (a ``Counter``: a rule not yet counted reads 0)."""
-        if (
-            self.link != link
-            or (self.device is not None and self.device != device)
-            or t < self.from_t
-            or (self.until_t is not None and t >= self.until_t)
-        ):
+        if self.link != link or t < self.from_t or (self.device is not None and self.device != device):
             return False
         if self.max_matches is None:
             return True
@@ -264,8 +259,7 @@ class DeviceSpec:
 class Scenario:
     seed: int = 0
     horizon: int = 100
-    epsilon: int = _key(10, minimum=0)
-    future_skew: int = _key(2, minimum=0)
+    epsilon: int = _key(EPSILON, minimum=0)
     receivers: int = _key(1, minimum=0)
     devices: Tuple[DeviceSpec, ...] = ()
     adversary: AdversaryPolicy = AdversaryPolicy()
@@ -430,11 +424,7 @@ class Simulation:
             self._sw_original[spec.name] = sw
 
         fetcher = RegistryFetcher(self.server.registry, self.server.serve_manifest)
-        cfg = ReceiverConfig(
-            epsilon=scenario.epsilon,
-            future_skew=scenario.future_skew,
-            manifest_fetcher=fetcher,
-        )
+        cfg = ReceiverConfig(epsilon=scenario.epsilon, manifest_fetcher=fetcher)
         # The clock is captured rather than self: a cycle through self would
         # keep a finished simulation alive until a full garbage collection.
         # One memo for all receivers: each broadcast is decoded and verified once.

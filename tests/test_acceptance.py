@@ -17,6 +17,7 @@ from paisa import crypto, simnet, wire
 from paisa.device import ATTEST_CHUNK_SIZE
 from paisa.manifest import manifest_from_json, manifest_to_json, sign_manifest, verify_manifest
 from paisa.receiver import (
+    FUTURE_SKEW,
     Freshness,
     PresenceReport,
     Receiver,
@@ -132,7 +133,7 @@ def test_criterion_4_freshness_and_replay():
             cfg = ReceiverConfig(epsilon=epsilon, manifest_fetcher=object())
             for ts_udev in range(0, 51):
                 for ts_dev in range(0, 51):
-                    if ts_dev > ts_udev + cfg.future_skew:
+                    if ts_dev > ts_udev + FUTURE_SKEW:
                         expected = Freshness.FUTURE
                     elif (ts_udev - epsilon) < ts_dev:
                         expected = Freshness.FRESH

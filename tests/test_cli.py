@@ -55,8 +55,9 @@ def test_keygen_and_provision_default_to_paisa_key_in_the_working_directory(tmp_
              "--full-url", "https://mfr.example/manifests/x.json"],
             "cannot read image",
         ),
+        (["keygen", "--out", "missing/k.key", "--seed", SEED], "cannot write"),
     ],
-    ids=["short_seed", "missing_image"],
+    ids=["short_seed", "missing_image", "missing_out_dir"],
 )
 def test_unusable_input_fails_cleanly_and_writes_nothing(tmp_path, monkeypatch, capsys, argv, error):
     monkeypatch.chdir(tmp_path)

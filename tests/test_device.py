@@ -24,11 +24,11 @@ def test_timer_config_requires_multiple():
 
 
 def test_provision_outputs_public_key_matching_manifest(rig):
-    assert rig["device"].trusted.device_keys.public_key == rig["manifest"].device_public_key
+    assert rig["device"].trusted.public_key == rig["manifest"].device_public_key
 
 
 def test_provision_hashes_image_like_external_oracle(rig):
-    assert rig["device"].trusted.sw_hash_expected == hashlib.sha256(rig["sw"]).digest()
+    assert rig["device"].trusted.sw_hash == hashlib.sha256(rig["sw"]).digest()
 
 
 def test_reprovision_rejected(rig):
@@ -49,7 +49,7 @@ def test_sync_req_signature_verifies_against_bumped_ts(rig):
     req = dev.make_sync_req()
     preimage = req.device_id + req.n_dev1 + (req.ts_prev + 1).to_bytes(4, "big")
     assert crypto.verify(
-        dev.trusted.device_keys.public_key,
+        dev.trusted.public_key,
         hashlib.sha256(preimage).digest(),
         req.signature,
     )
@@ -195,7 +195,7 @@ def test_consecutive_announcements_step_by_t_announce(rig):
 def test_private_key_never_in_emitted_bytes(rig):
     dev = rig["device"]
     complete_sync(rig["server"], dev, now=0)
-    sk = dev.trusted.device_keys.private_key
+    sk = dev.trusted.private_key
     blobs = [wire.encode_sync_message(dev.make_sync_req())]
     blobs.extend(dev.announce_now())
     for _ in range(30):

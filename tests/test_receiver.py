@@ -10,6 +10,7 @@ import paisa.receiver as receiver_mod
 from paisa import crypto, wire
 from paisa.manifest import manifest_from_json, manifest_to_json, sign_manifest
 from paisa.receiver import (
+    FUTURE_SKEW,
     DedupeEntry,
     FetchError,
     Freshness,
@@ -64,7 +65,7 @@ def test_freshness_grid_matches_oracle(epsilon):
     for ts_udev in range(0, 51):
         for ts_dev in range(0, 51):
             assert check_freshness(ts_dev, ts_udev, cfg) == brute_force_freshness(
-                ts_dev, ts_udev, epsilon, cfg.future_skew
+                ts_dev, ts_udev, epsilon, FUTURE_SKEW
             ), (ts_dev, ts_udev, epsilon)
 
 

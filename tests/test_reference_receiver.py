@@ -225,10 +225,7 @@ def test_receiver_agrees_with_the_reference(descs, script):
     registry, hosted, devices = build_fleet(descs)
     now = [1000]
     receiver = Receiver(
-        ReceiverConfig(
-            epsilon=EPSILON, future_skew=FUTURE_SKEW,
-            manifest_fetcher=RegistryFetcher(registry, hosted.get),
-        ),
+        ReceiverConfig(epsilon=EPSILON, manifest_fetcher=RegistryFetcher(registry, hosted.get)),
         clock=lambda: now[0],
     )
     reference = ReferenceReceiver(registry, hosted)

@@ -332,7 +332,7 @@ def test_registration_refused_by_its_manifest_leaves_the_device_unprovisioned(tm
         assert f.read() == before
     # The same device then registers with a description its manifest can hold.
     man, _ = server.register_device(**register, description=DeviceDescription())
-    assert device.trusted.device_keys.public_key == man.device_public_key
+    assert device.trusted.public_key == man.device_public_key
 
 
 def test_ack_for_session_past_ttl_rejected_even_after_clock_step_back():
@@ -610,6 +610,48 @@ def test_store_bytes_written_by_registrations_grow_linearly(tmp_path):
         before = after
     assert sum(written) == len(after)
     assert max(written[1:]) < 2 * min(written[1:])
+
+
+# The first 16 hex digits of the sha256 of the store file after each of three
+# registrations and nine commits (two compactions among them), and of each
+# device file, written as ``paisa provision`` and ``paisa device`` write it.
+STORE_FILE_DIGESTS = [
+    "a86403cc46e249b6", "2400a210ad350337", "15f0c074434601f8", "6b3c5adf7714b7b9",
+    "64e465b98c907ca8", "f1f01a59bac4a542", "aca4f73459af5d5f", "4087fcdded5ce543",
+    "a8b5c0145ecc7150", "8c236e2671506be1", "eb1b016e33b36dd3", "79fd0186f9b36d92",
+]
+DEVICE_FILE_DIGESTS = ["e2138930582166f1", "b4fa83777fb66b74", "bf83ed81be2755b7"]
+
+
+def test_store_and_device_files_keep_their_bytes(tmp_path):
+    store = str(tmp_path / "server.json")
+    server = ManufacturerServer(
+        crypto.generate_keypair(b"\x24" * 32), store_path=store, nonce_source=SeededNonces(24)
+    )
+    devices, store_digests = [], []
+    for i in range(3):
+        device = Device(nonce_source=SeededNonces(200 + i))
+        server.register_device(
+            device=device,
+            device_id=bytes([0x40 + i]) * 16,
+            sw_dev=bytes([i]) * 4096,
+            full_url=f"https://mfr.example/manifests/pin-{i}.json",
+            ts_cur=i,
+            timer_config=TimerConfig(5, 10),
+            key_seed=bytes([0x50 + i]) * 32,
+        )
+        devices.append(device)
+        store_digests.append(hashlib.sha256(_read(store)).hexdigest()[:16])
+    for k in range(9):
+        assert complete_sync(server, devices[k % 3], now=100 + 7 * k).committed
+        store_digests.append(hashlib.sha256(_read(store)).hexdigest()[:16])
+    docs = [json.dumps(d.export_state(), indent=2) for d in devices]
+    assert store_digests == STORE_FILE_DIGESTS
+    assert [hashlib.sha256(doc.encode()).hexdigest()[:16] for doc in docs] == DEVICE_FILE_DIGESTS
+    # Each file reads back to the state that wrote it.
+    assert ManufacturerServer.load(store).records == server.records
+    for device, doc in zip(devices, docs):
+        assert Device.from_state(json.loads(doc), device.software.contents).trusted == device.trusted
 
 
 _OPS = st.lists(

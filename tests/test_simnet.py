@@ -3,7 +3,9 @@ import hashlib
 import heapq
 import json
 import pathlib
+import re
 import weakref
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from paisa import crypto, simnet, wire
 from paisa.receiver import Receiver
 
 SCENARIOS = pathlib.Path(simnet.__file__).parent / "scenarios"
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def base_doc(**overrides):
@@ -19,7 +22,6 @@ def base_doc(**overrides):
         "seed": 1,
         "horizon": 60,
         "epsilon": 10,
-        "future_skew": 2,
         "receivers": 1,
         "devices": [{"name": "a", "t_announce": 10, "t_attest": 10, "sw_size": 4096}],
         "adversary": {},
@@ -40,6 +42,28 @@ def test_bundled_scenarios_all_load():
 def test_unknown_top_level_key_rejected():
     with pytest.raises(simnet.ScenarioError):
         simnet.load_scenario(base_doc(surprise=1))
+
+
+def test_readme_scenario_table_lists_exactly_the_keys_each_section_accepts():
+    # A row with a section cell starts a section; "`drop[]`, `tamper[]`,
+    # `delay[]`" rows belong to all three, "`drop[]` only" rows to one.
+    lines = README.read_text(encoding="utf-8").split("\n")
+    start = lines.index("| Section | Key | Default | Bound or rule |") + 2
+    documented, sections = defaultdict(set), []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        section, key = (cell.strip() for cell in line.split("|")[1:3])
+        if section:
+            sections = re.findall(r"`(\w+)\[\]`", section) or [section]
+        for name in sections:
+            documented[name].add(key.strip("`"))
+    accepted = {"top level": set(simnet._keys(simnet.Scenario))}
+    for owner in (simnet.Scenario, simnet.AdversaryPolicy):
+        for key, (_, kind, many, _, _) in simnet._keys(owner).items():
+            if many:
+                accepted[key] = set(simnet._keys(kind))
+    assert documented == accepted
 
 
 def test_unknown_adversary_key_rejected():
@@ -86,7 +110,6 @@ def one_device(**fields):
         {"horizon": "abc"},
         {"adversary": {"drop": [{"link": "device->receiver", "probability": "p"}]}},
         {"epsilon": -1},
-        {"future_skew": -1},
         {"devices": one_device(boot_at=-1)},
         {
             "devices": one_device(sw_size=0),
