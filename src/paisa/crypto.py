@@ -1,4 +1,6 @@
-"""Cryptographic primitives: ECDSA over prime256v1 and chunked SHA-256.
+"""Cryptographic primitives: ECDSA over prime256v1 and chunked SHA-256; and
+the key and record files, with ``record_from_json``, the one typed reader of
+every JSON document the program loads (its rule is in the README).
 
 All signatures are raw 64-byte ``r || s`` (big-endian, fixed width), never DER.
 Signing uses deterministic nonces (RFC 6979) so identical inputs produce
@@ -11,8 +13,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Dict, Optional, Union, get_args, get_origin, get_type_hints
 
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
@@ -166,25 +168,113 @@ def write_owner_only(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-_BYTES = (bytes, "bytes")  # a field's type is a string under postponed annotations
+class RecordError(ValueError):
+    """A document that does not fit its record class, at a path such as ``records[1].latest_ts``."""
+
+
+def rule(default=MISSING, *, minimum: Optional[int] = None, key: Optional[str] = None):
+    """A record field with a lower bound, or read from a JSON key other than its name."""
+    return field(default=default, metadata={"minimum": minimum, "key": key})
+
+
+# The JSON values each scalar kind takes, and its name in errors. Types match
+# exactly, so a bool (an int to Python) is only ever a bool.
+_SCALARS = {
+    str: ((str,), "a string"), int: ((int,), "an integer"), float: ((int, float), "a number"),
+    bool: ((bool,), "true or false"), bytes: ((str,), "a hex string"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def record_keys(cls) -> Dict[str, tuple]:
+    """The fields of the record class ``cls`` by JSON key, resolved once: (field
+    name, kind, many, required, minimum). The kind is a scalar type or a record
+    class, ``Optional[X]`` read as X; ``many`` marks a ``Tuple[X, ...]`` list."""
+    hints, table = get_type_hints(cls), {}
+    for f in fields(cls):
+        kind = hints[f.name]
+        kind = get_args(kind)[0] if get_origin(kind) is Union else kind  # Optional[X]
+        many = get_origin(kind) is tuple
+        table[f.metadata.get("key") or f.name] = (f.name, get_args(kind)[0] if many else kind, many,
+                                                   f.default is MISSING, f.metadata.get("minimum"))
+    return table
+
+
+def _reader(kind, many: bool, minimum: Optional[int]):
+    """The reader ``(raw, where) -> value`` of a field at path ``where``: a
+    record, a list read as a tuple, or a scalar of exactly ``kind`` (a float
+    may be an integer, bytes are a hex string) not below ``minimum``."""
+    if many:
+        one, plain = _reader(kind, False, minimum), {kind} if minimum is None else set()
+
+        def read_list(raw, where):
+            if not isinstance(raw, list):
+                raise RecordError(f"{where} must be a list")
+            if set(map(type, raw)) <= plain:  # scalars of the kind, as they are
+                return tuple(raw)
+            return tuple([one(item, f"{where}[{i}]") for i, item in enumerate(raw)])
+        return read_list
+    if kind not in _SCALARS:
+        return functools.partial(record_from_json, kind)
+    types, name = _SCALARS[kind]
+
+    def read(raw, where):
+        if type(raw) not in types:
+            raise RecordError(f"{where} must be {name}, got {raw!r}")
+        if minimum is not None and raw < minimum:
+            raise RecordError(f"{where} must be at least {minimum}, got {raw}")
+        return bytes.fromhex(raw) if kind is bytes else raw
+    return read
+
+
+@functools.lru_cache(maxsize=None)
+def _fields(cls) -> tuple:
+    """Per field: (key, name, required, the JSON type read in line, a scalar's
+    first one or None, its converter or None, the reader of any other value)."""
+    return tuple(
+        (key, name, required,
+         _SCALARS[kind][0][0] if kind in _SCALARS and not many and minimum is None else None,
+         bytes.fromhex if kind is bytes else None, _reader(kind, many, minimum))
+        for key, (name, kind, many, required, minimum) in record_keys(cls).items()
+    )
 
 
 def record_to_json(record) -> dict:
-    """The dataclass ``record`` as the JSON object its file holds: its fields
-    in declared order, each ``bytes`` one as lowercase hex, the rest as is."""
-    return {
-        f.name: getattr(record, f.name).hex() if f.type in _BYTES else getattr(record, f.name)
-        for f in fields(record)
-    }
+    """The dataclass ``record`` as the JSON object ``record_from_json`` reads
+    back: each field under its key, in order, ``bytes`` as lowercase hex."""
+    return {key: v.hex() if isinstance(v := getattr(record, info[0]), bytes) else v
+            for key, info in record_keys(type(record)).items()}
 
 
-def record_from_json(cls, doc):
-    """The ``cls`` record of a ``record_to_json`` object: ``KeyError`` for a
-    missing field, ``TypeError`` or ``ValueError`` for bad hex; ``cls``
-    checks everything else."""
-    return cls(**{
-        f.name: bytes.fromhex(doc[f.name]) if f.type in _BYTES else doc[f.name] for f in fields(cls)
-    })
+def record_from_json(cls, doc, where: str = "record"):
+    """The ``cls`` record of the JSON object ``doc`` at path ``where``: each
+    field is one key, and an absent or null key takes the field's default.
+    Anything else that does not fit, or a ``ValueError`` of ``cls``, raises
+    ``RecordError``."""
+    if not isinstance(doc, dict):
+        raise RecordError(f"{where} must be an object")
+    values, missing = {}, None
+    for key, name, required, plain, convert, read in _fields(cls):
+        raw = doc.get(key)
+        if type(raw) is plain:
+            try:
+                values[name] = raw if convert is None else convert(raw)
+            except ValueError:  # bytes.fromhex of a string that is not hex
+                raise RecordError(f"{where}.{key} must be a hex string, got {raw!r}") from None
+        elif raw is not None:
+            values[name] = read(raw, f"{where}.{key}")
+        elif required and missing is None:
+            missing = key
+    # Each value read is one key, so only a document with more keys can hold
+    # an unknown one; a misspelt key is reported as that, not as a missing one.
+    if len(values) < len(doc) and not doc.keys() <= record_keys(cls).keys():
+        raise RecordError(f"unknown key(s) {sorted(doc.keys() - record_keys(cls).keys())} in {where}")
+    if missing is not None:
+        raise RecordError(f"{where}: {missing} is required")
+    try:
+        return cls(**values)
+    except ValueError as exc:  # a rule of the class's own __post_init__
+        raise RecordError(f"{where}: {exc}") from exc
 
 
 def save_keypair(path: str, keys: KeyPair) -> None:

@@ -184,9 +184,9 @@ class Device:
         ``image`` as its program memory (copied only if it is mutable). A
         malformed document raises ``DeviceError``."""
         try:
-            state = crypto.record_from_json(TrustedState, doc)
-        except (KeyError, TypeError, ValueError, DeviceError) as exc:
-            raise DeviceError(f"malformed device state: {exc!r}") from exc
+            state = crypto.record_from_json(TrustedState, doc, "state")
+        except (ValueError, DeviceError) as exc:
+            raise DeviceError(f"malformed device state: {exc}") from exc
         device = cls(nonce_source)
         device.trusted, device.software = state, NormalSoftware(bytes(image))
         return device

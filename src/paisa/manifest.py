@@ -1,12 +1,12 @@
 """The manufacturer-signed device description document and the local
 short-URL registry that stands in for an external URL-shortening service.
 
-The ``Manifest`` dataclass is the manifest's one declaration: the signed
-bytes and the JSON codec walk its payload fields in order, one rule per kind.
-A ``bytes`` field has its declared width and is JSON hex, a ``str`` a JSON
-string, a ``Tuple[str, ...]`` a JSON list of strings; any other JSON type is
-malformed. The signature covers the canonical bytes, not the JSON text, so
-whitespace or key order never breaks verification.
+The ``Manifest`` dataclass is the manifest's one declaration. The signed
+bytes walk its payload fields in order, one rule per kind, and a ``bytes``
+field has its declared width. The JSON document is read by
+``crypto.record_from_json``. The signature covers the canonical bytes, not
+the JSON text, so whitespace or key order never breaks verification, and a
+member that is no field can never be signed: it is refused.
 
 The JSON document is written from a template built once from the fields:
 each member's key and separator are fixed, and only the values are encoded
@@ -21,9 +21,9 @@ import hashlib
 import json
 import string
 import struct
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import crypto
 from .wire import DEVICE_ID_LEN, SHORT_URL_LEN
@@ -38,13 +38,9 @@ class ManifestError(ValueError):
     pass
 
 
-def _width(n: int) -> Any:
-    return field(metadata={"width": n})
-
-
 @dataclass(frozen=True)
 class Manifest:
-    device_id: bytes = _width(DEVICE_ID_LEN)
+    device_id: bytes = field(metadata={"width": DEVICE_ID_LEN})
     device_type_model: str
     manufacturer: str
     manufacture_date_location: str
@@ -54,8 +50,8 @@ class Manifest:
     network_interfaces: Tuple[str, ...]
     owner_id: str
     deployment_location: str
-    sw_hash: bytes = _width(crypto.DIGEST_LEN)
-    device_public_key: bytes = _width(crypto.PUBLIC_KEY_LEN)
+    sw_hash: bytes = field(metadata={"width": crypto.DIGEST_LEN})
+    device_public_key: bytes = field(metadata={"width": crypto.PUBLIC_KEY_LEN})
     full_url: str
     status: str
     # Attached by sign_manifest; not part of the signed payload.
@@ -77,39 +73,19 @@ def _list_to_json(items: Tuple[str, ...]) -> str:
     return "[\n    " + ",\n    ".join(map(encode_basestring_ascii, items)) + "\n  ]"
 
 
-def _json_str(value: Any) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {type(value).__name__}")
-    return value
-
-
-def _json_strs(value: Any) -> Tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-        raise TypeError(f"expected a list of strings, got {type(value).__name__}")
-    return tuple(value)
-
-
-# Per annotated kind: the JSON value encoder and the JSON decoder (TypeError
-# or ValueError on a value of the wrong JSON type).
-_KINDS = {
-    "bytes": (_hex_to_json, bytes.fromhex),
-    "str": (encode_basestring_ascii, _json_str),
-    "Tuple[str, ...]": (_list_to_json, _json_strs),
-}
-# (name, kind, width or None, *codec) of each payload field, in signed order.
-_PAYLOAD = tuple(
-    (f.name, f.type, f.metadata.get("width"), *_KINDS[f.type])
-    for f in fields(Manifest)
-    if f.default is MISSING
-)
-_ATTACHED = tuple(f.name for f in fields(Manifest) if f.default is not MISSING)
+# (name, kind, many, width or None, signed: a field with no default) of each field.
+_FIELDS = [
+    (f.name, kind, many, f.metadata.get("width"), required)
+    for f, (_, kind, many, required, _) in zip(fields(Manifest), crypto.record_keys(Manifest).values())
+]
+_PAYLOAD = tuple(f for f in _FIELDS if f[4])
 # The JSON template: per member, in key order, its fixed '"key": ' text, its
 # field and its value encoder. An attached field is a member only when set.
 _MEMBERS = tuple(
     sorted(
-        [(encode_basestring_ascii(name) + ": ", name, to_json) for name, _, _, to_json, _ in _PAYLOAD]
-        + [(encode_basestring_ascii(name) + ": ", name, _hex_to_json) for name in _ATTACHED],
-        key=lambda member: member[1],
+        (encode_basestring_ascii(name) + ": ", name,
+         _list_to_json if many else _hex_to_json if kind is bytes else encode_basestring_ascii)
+        for name, kind, many, _, _ in _FIELDS
     )
 )
 
@@ -124,13 +100,13 @@ def canonicalize(manifest: Manifest) -> bytes:
     values = vars(manifest)
     parts = []
     try:
-        for name, kind, width, _, _ in _PAYLOAD:
+        for name, kind, many, width, _ in _PAYLOAD:
             value = values[name]
-            if kind == "bytes":
+            if kind is bytes:
                 if len(value) != width:
                     raise ManifestError(f"{name} must be {width} bytes")
                 parts.append(value)
-            elif kind == "str":
+            elif not many:
                 raw = value.encode("utf-8")
                 parts += (_U32(len(raw)), raw)
             else:
@@ -182,14 +158,10 @@ def manifest_to_json(manifest: Manifest) -> bytes:
 
 
 def manifest_from_json(data: bytes) -> Manifest:
+    """The manifest of a JSON document, or ``ManifestError``."""
     try:
-        doc = json.loads(data)
-        values = {name: from_json(doc[name]) for name, _, _, _, from_json in _PAYLOAD}
-        for name in _ATTACHED:
-            if name in doc:
-                values[name] = bytes.fromhex(doc[name])
-        return Manifest(**values)
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        return crypto.record_from_json(Manifest, json.loads(data), "manifest")
+    except (ValueError, RecursionError) as exc:
         raise ManifestError(f"malformed manifest document: {exc}") from exc
 
 

@@ -9,8 +9,8 @@ persist on write so a restart never loses one.
 The store file is a snapshot followed by a journal. Line 1 is the whole
 state (``keys``, ``records``, ``manifests``, ``registry``) as compact JSON; it
 is written to a temporary file and renamed into place. Each record, and the
-``keys`` object, is written by ``crypto.record_to_json``: the fields of
-``DeviceRecord`` (of ``crypto.KeyPair``), in order, with ``bytes`` in hex.
+``keys`` object, holds the fields of ``DeviceRecord`` (of ``crypto.KeyPair``),
+written and read by ``crypto.record_to_json`` and ``record_from_json``.
 After the snapshot, each write appends one line, so it costs one small write
 instead of a rewrite of every record:
 
@@ -66,10 +66,10 @@ class DeviceRecord:
     manifest_path: str
 
     def __post_init__(self) -> None:
-        if type(self.latest_ts) is not int:
-            raise TypeError(f"record {self.device_id.hex()} has no integer latest_ts")
-        if type(self.manifest_path) is not str:
-            raise TypeError(f"record {self.device_id.hex()} has no string manifest_path")
+        if len(self.device_id) != wire.DEVICE_ID_LEN:
+            raise ValueError(f"device_id must be {wire.DEVICE_ID_LEN} bytes")
+        if len(self.device_public_key) != crypto.PUBLIC_KEY_LEN:
+            raise ValueError(f"device_public_key must be {crypto.PUBLIC_KEY_LEN} bytes")
 
 
 @dataclass
@@ -314,7 +314,7 @@ class ManufacturerServer:
                 raise TypeError("it has no integer latest_ts")
             record.latest_ts = max(record.latest_ts, latest_ts)
             return
-        record = crypto.record_from_json(DeviceRecord, entry["record"])
+        record = crypto.record_from_json(DeviceRecord, entry["record"], "record")
         document = entry["manifest"]
         if type(document) is not str:
             raise TypeError("its manifest is not a string")
@@ -335,10 +335,10 @@ class ManufacturerServer:
             # The snapshot is the first JSON document; a store written as one
             # indented document (an older format) is a snapshot with no journal.
             doc, end = json.JSONDecoder().raw_decode(text)
-            keys = crypto.matched_keypair(crypto.record_from_json(crypto.KeyPair, doc["keys"]))
+            keys = crypto.matched_keypair(crypto.record_from_json(crypto.KeyPair, doc["keys"], "keys"))
             srv = cls(keys, store_path=store_path, nonce_source=nonce_source)
-            for rec in doc["records"]:
-                record = crypto.record_from_json(DeviceRecord, rec)
+            for i, rec in enumerate(doc["records"]):
+                record = crypto.record_from_json(DeviceRecord, rec, f"records[{i}]")
                 srv.records[record.device_id] = record
             srv.manifests = {p: data.encode("utf-8") for p, data in doc["manifests"].items()}
             srv.registry = ShortUrlRegistry.from_dict(doc["registry"])

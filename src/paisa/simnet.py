@@ -6,13 +6,11 @@ and replay serialized frames, and mutate a device's normal software. No policy
 primitive exists that reads or writes trusted state or private keys, so
 isolation holds by construction.
 
-A scenario is immutable data. Each section of the document is one frozen
-dataclass whose fields are its only accepted keys (field metadata names the
-JSON key where it differs, and the lower bound); ``_load`` reads every
-section the same way, and each class checks its cross-field rules in
-``__post_init__``. Unknown keys, values of the wrong JSON type or below
-their minimum, and directives naming no scenario device fail at load time
-with a ``ScenarioError``.
+A scenario is immutable data: each section of the document is one frozen
+dataclass, read by ``crypto.record_from_json`` (``crypto.rule`` names a
+field's lower bound or a JSON key other than its name), whose
+``__post_init__`` checks its cross-field rules. Any refusal, such as a
+directive naming no scenario device, is a ``ScenarioError`` at load time.
 
 Every run is fully determined by (scenario, seed): all randomness flows from
 one seeded generator owned by the scheduler, and everything a run changes
@@ -22,14 +20,13 @@ log each time it is run.
 """
 
 import bisect
-import functools
 import hashlib
 import heapq
 import json
 import random
 from collections import Counter, OrderedDict
-from dataclasses import MISSING, dataclass, field, fields
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union, get_args, get_origin
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from . import crypto
 from .device import Device, TimerConfig
@@ -151,16 +148,11 @@ class VirtualClock:
 # Scenario document: one frozen dataclass per section
 # ---------------------------------------------------------------------------
 
-def _key(default=MISSING, *, minimum: Optional[int] = None, key: Optional[str] = None):
-    """A scenario field with a lower bound, or read from a JSON key other than its name."""
-    return field(default=default, metadata={"minimum": minimum, "key": key})
-
-
 @dataclass(frozen=True, kw_only=True)
 class _LinkRule:
     link: str
     device: Optional[str] = None
-    from_t: int = _key(0, key="from")
+    from_t: int = crypto.rule(0, key="from")
     max_matches: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -194,7 +186,7 @@ class _TamperRule(_LinkRule):
 
 @dataclass(frozen=True, kw_only=True)
 class _DelayRule(_LinkRule):
-    delay: int = _key(0, minimum=0)
+    delay: int = crypto.rule(0, minimum=0)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -215,7 +207,7 @@ class _ReplayDirective:
 class _SyncReplayDirective:
     device: str
     message: str
-    delay: int = _key(1, minimum=0)
+    delay: int = crypto.rule(1, minimum=0)
 
     def __post_init__(self) -> None:
         if self.message not in ("sync_req", "sync_ack"):
@@ -225,10 +217,10 @@ class _SyncReplayDirective:
 @dataclass(frozen=True, kw_only=True)
 class _CompromiseDirective:
     device: str
-    at: int = _key(minimum=0)
+    at: int = crypto.rule(minimum=0)
     flip_byte: Optional[int] = None
     busy_loop: bool = False
-    restore_at: Optional[int] = _key(None, minimum=0)
+    restore_at: Optional[int] = crypto.rule(None, minimum=0)
 
 
 @dataclass(frozen=True)
@@ -246,8 +238,8 @@ class DeviceSpec:
     name: str
     t_announce: int = 10
     t_attest: Optional[int] = None  # t_announce when absent
-    sw_size: int = _key(4096, minimum=1)
-    boot_at: int = _key(0, minimum=0)
+    sw_size: int = crypto.rule(4096, minimum=1)
+    boot_at: int = crypto.rule(0, minimum=0)
 
     def __post_init__(self) -> None:
         if self.t_attest is None:
@@ -259,8 +251,8 @@ class DeviceSpec:
 class Scenario:
     seed: int = 0
     horizon: int = 100
-    epsilon: int = _key(EPSILON, minimum=0)
-    receivers: int = _key(1, minimum=0)
+    epsilon: int = crypto.rule(EPSILON, minimum=0)
+    receivers: int = crypto.rule(1, minimum=0)
     devices: Tuple[DeviceSpec, ...] = ()
     adversary: AdversaryPolicy = AdversaryPolicy()
 
@@ -280,91 +272,22 @@ class Scenario:
                     )
 
 
-# The JSON values each scalar kind takes, and its name in errors. A bool is
-# also an int to Python, so it is refused apart wherever it is not the kind.
-_SCALARS = {
-    str: ((str,), "a string"),
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    bool: ((bool,), "true or false"),
-}
-
-
-@functools.lru_cache(maxsize=None)
-def _keys(cls) -> Dict[str, tuple]:
-    """The fields of section ``cls`` by JSON key, resolved once per class:
-    (field name, kind, many, required, minimum). The kind is a scalar type or
-    a section class, ``Optional[X]`` read as X; ``many`` marks a list of
-    sections (a ``Tuple[Section, ...]`` field)."""
-    table = {}
-    for f in fields(cls):
-        kind = f.type
-        if get_origin(kind) is Union:  # Optional[X]
-            kind = get_args(kind)[0]
-        many = get_origin(kind) is tuple
-        if many:
-            kind = get_args(kind)[0]
-        table[f.metadata.get("key") or f.name] = (
-            f.name, kind, many, f.default is MISSING, f.metadata.get("minimum")
-        )
-    return table
-
-
-def _load(cls, doc, where: str):
-    """Read the section ``doc`` into the dataclass ``cls``: each field is one
-    key, and an absent or null key takes the field's default."""
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{where} must be an object")
-    keys = _keys(cls)
-    unknown = doc.keys() - keys.keys()
-    if unknown:
-        raise ScenarioError(f"unknown key(s) {sorted(unknown)} in {where}")
-    values = {}
-    for key, (name, kind, many, required, minimum) in keys.items():
-        raw = doc.get(key)
-        if raw is not None:
-            values[name] = _value(kind, many, minimum, raw, f"{where}.{key}")
-        elif required:
-            raise ScenarioError(f"{where}: {key} is required")
-    try:
-        return cls(**values)
-    except ValueError as exc:  # a cross-field rule in __post_init__
-        raise ScenarioError(f"{where}: {exc}") from exc
-
-
-def _value(kind, many: bool, minimum: Optional[int], raw, where: str):
-    """``raw`` as a field of ``kind``: a section, a list of sections, or a
-    scalar of exactly that kind (an integer also as a float) not below
-    ``minimum``."""
-    if many:
-        if not isinstance(raw, list):
-            raise ScenarioError(f"{where} must be a list")
-        return tuple(_load(kind, item, f"{where}[{i}]") for i, item in enumerate(raw))
-    if kind not in _SCALARS:
-        return _load(kind, raw, where)
-    types, name = _SCALARS[kind]
-    if not isinstance(raw, types) or (isinstance(raw, bool) and kind is not bool):
-        raise ScenarioError(f"{where} must be {name}, got {raw!r}")
-    if minimum is not None and raw < minimum:
-        raise ScenarioError(f"{where} must be at least {minimum}, got {raw}")
-    return kind(raw)
-
-
 def load_scenario(source: Union[str, dict]) -> Scenario:
     """Parse a scenario from a JSON file path or an already-loaded dict."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        try:
+    doc = source
+    try:
+        if not isinstance(source, dict):
             with open(source, "r", encoding="utf-8") as f:
                 doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-        except RecursionError as exc:
-            raise ScenarioError(f"{source}: invalid JSON: nested too deeply") from exc
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ScenarioError(f"cannot read {source}: {exc}") from exc
-    return _load(Scenario, doc, "scenario")
+        return crypto.record_from_json(Scenario, doc, "scenario")
+    except crypto.RecordError as exc:
+        raise ScenarioError(str(exc)) from exc
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except RecursionError as exc:
+        raise ScenarioError(f"{source}: invalid JSON: nested too deeply") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read {source}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 import hashlib
+import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from paisa import crypto
+from paisa import crypto, simnet, wire
+from paisa.device import Device, DeviceError, TimerConfig, TrustedState
+from paisa.manifest import Manifest, ManifestError, manifest_from_json, manifest_to_json, sign_manifest
+from paisa.server import DeviceRecord
 
 from p256_oracle import ecdsa_verify, scalar_mult
 
@@ -184,3 +188,129 @@ def test_keys_and_digests_of_the_wrong_width_are_refused():
 def test_key_caches_are_bounded():
     assert crypto._load_public.cache_info().maxsize == 1024
     assert crypto._load_private.cache_info().maxsize == 1024
+
+
+# -- the typed JSON reader -----------------------------------------------------
+
+_MFR_KEYS = crypto.generate_keypair(b"\x44" * 32)
+_device = Device()
+_device.provision(
+    device_id=b"\x05" * 16, sw_dev=b"", mfr_public_key=_MFR_KEYS.public_key, short_url="AAAAAAAAAAA",
+    full_url="u", ts_cur=0, timer_config=TimerConfig(10, 10), key_seed=b"\x06" * 32,
+)
+STATE_DOC = _device.export_state()
+MANIFEST_DOC = json.loads(manifest_to_json(sign_manifest(Manifest(
+    device_id=b"\x05" * 16, device_type_model="m", manufacturer="mf", manufacture_date_location="d",
+    sensors=("pir",), actuators=(), deployment_purpose="p", network_interfaces=("wifi",), owner_id="o",
+    deployment_location="l", sw_hash=b"\x01" * 32, device_public_key=_device.trusted.public_key,
+    full_url="u", status="active",
+), _MFR_KEYS)))
+SCENARIO_DOC = {
+    "seed": 1, "horizon": 20, "epsilon": 10, "receivers": 1,
+    "devices": [{"name": "a", "t_announce": 10, "t_attest": 10, "sw_size": 64, "boot_at": 0}],
+    "adversary": {
+        "drop": [{"link": "device->receiver", "probability": 0.5, "from": 3, "max_matches": 2}],
+        "tamper": [{"link": "device->server", "flip_bit": 7}],
+        "delay": [{"link": "server->device", "delay": 1}],
+        "replay": [{"device": "a", "capture_time": 0, "inject_at": 5, "flip_bit": 1}],
+        "replay_sync": [{"device": "a", "message": "sync_req"}],
+        "compromise": [{"device": "a", "at": 5, "flip_byte": 3, "busy_loop": True, "restore_at": 9}],
+    },
+}
+SCENARIO_CLASSES = (
+    simnet.Scenario, simnet.DeviceSpec, simnet.AdversaryPolicy, simnet._DropRule, simnet._TamperRule,
+    simnet._DelayRule, simnet._ReplayDirective, simnet._SyncReplayDirective, simnet._CompromiseDirective,
+)
+
+
+def documents(base, keys, root_any=True):
+    """JSON documents keyed mostly by ``keys``: ``base`` with members
+    replaced, added or dropped at any depth, or (``root_any``) any JSON value."""
+    key = st.sampled_from(sorted(keys)) | st.text(max_size=4)
+    values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8) | st.sampled_from(["a", "00"]),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(key, inner, max_size=4),
+        max_leaves=10,
+    )
+
+    def edited(node):
+        if isinstance(node, list):
+            return st.tuples(*map(edited, node)).map(list)
+        if not isinstance(node, dict):
+            return st.just(node)
+        own = st.sampled_from(sorted(node))
+        return st.builds(
+            lambda members, edits, drops: {k: v for k, v in {**members, **edits}.items() if k not in drops},
+            st.fixed_dictionaries({k: edited(v) for k, v in node.items()}),
+            st.dictionaries(own | key, values, max_size=1),
+            st.sets(own, max_size=1),
+        )
+
+    return edited(base) | values if root_any else edited(base)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=documents(SCENARIO_DOC, {k for cls in SCENARIO_CLASSES for k in crypto.record_keys(cls)}, root_any=False))
+@example(doc={**SCENARIO_DOC, "adversary": {"drop": [{"link": "device->receiver", "probability": 10**400}]}})
+def test_load_scenario_refuses_a_document_only_with_scenario_error(doc):
+    # Only objects: load_scenario reads any other source as a file path.
+    try:
+        simnet.load_scenario(doc)
+    except simnet.ScenarioError:
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=documents(MANIFEST_DOC, crypto.record_keys(Manifest)))
+def test_manifest_from_json_refuses_a_document_only_with_manifest_error(doc):
+    try:
+        manifest_from_json(json.dumps(doc).encode())
+    except ManifestError:
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=documents(STATE_DOC, crypto.record_keys(TrustedState)))
+def test_from_state_refuses_a_document_only_with_device_error(doc):
+    try:
+        Device.from_state(doc, b"")
+    except DeviceError:
+        pass
+
+
+def _round_trip(record):
+    return crypto.record_from_json(type(record), json.loads(json.dumps(crypto.record_to_json(record))))
+
+
+_texts = st.text(max_size=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.binary(min_size=32, max_size=32),
+    device_id=st.binary(min_size=16, max_size=16),
+    sw_hash=st.binary(min_size=32, max_size=32),
+    latest_ts=st.integers(0, wire.TS_MAX),
+    short_url=st.text(st.characters(max_codepoint=127), min_size=11, max_size=11),
+    texts=st.lists(_texts, min_size=7, max_size=7),
+    lists=st.lists(st.lists(_texts, max_size=3).map(tuple), min_size=3, max_size=3),
+)
+def test_every_record_class_round_trips_through_json(seed, device_id, sw_hash, latest_ts, short_url, texts, lists):
+    keys = crypto.generate_keypair(seed)
+    records = [
+        keys,
+        DeviceRecord(device_id, keys.public_key, latest_ts, texts[0]),
+        TrustedState(
+            device_id, keys.private_key, keys.public_key, _MFR_KEYS.public_key, short_url, texts[0],
+            sw_hash, latest_ts, 10, 30,
+        ),
+        sign_manifest(Manifest(
+            device_id=device_id, device_type_model=texts[1], manufacturer=texts[2],
+            manufacture_date_location=texts[3], sensors=lists[0], actuators=lists[1],
+            deployment_purpose=texts[4], network_interfaces=lists[2], owner_id=texts[5],
+            deployment_location=texts[6], sw_hash=sw_hash, device_public_key=keys.public_key,
+            full_url=texts[0], status="revoked",
+        ), _MFR_KEYS),
+    ]
+    for record in records:
+        assert _round_trip(record) == record

@@ -401,6 +401,7 @@ DROP = object()
         {"short_url": "\u00ff" * 11},  # 11 characters, 22 UTF-8 bytes
         {"mfr_public_key": "00" * 10},  # no SyncResp could verify under it
         {"sw_hash": "00" * 31},  # no image could attest against it
+        {"extra": 1},  # a key that is no field of the trusted state
     ],
     ids=lambda c: ",".join(f"{k}={'missing' if v is DROP else v!r}" for k, v in c.items()),
 )

@@ -486,6 +486,7 @@ def test_dedupe_tracks_devices_independently():
         ("full_url", 7),
         ("owner_id", None),
         ("sensors", "pir"),
+        ("firmware_notes", "unsigned"),  # no field: it could never be signed
     ],
 )
 def test_wrongly_typed_manifest_field_is_bad_manifest_signature(rig, key, value):

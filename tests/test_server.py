@@ -477,6 +477,25 @@ def test_store_rejects_a_snapshot_record_without_integer_latest_ts(tmp_path, lat
     assert store in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("records", "extra", 1), ("keys", "extra", 1), ("records", "device_id", "0102"),
+     ("records", "device_public_key", "00")],
+    ids=["record_extra_key", "keys_extra_key", "record_short_device_id", "record_short_public_key"],
+)
+def test_store_rejects_a_snapshot_record_or_keys_that_do_not_fit_their_fields(tmp_path, section, key, value):
+    store = str(tmp_path / "server.json")
+    server, _ = _store_rig(store, n=2)
+    server._persist()
+    with open(store, encoding="utf-8") as f:
+        doc = json.loads(f.readline())
+    (doc["records"][1] if section == "records" else doc["keys"])[key] = value
+    with open(store, "w", encoding="utf-8") as f:
+        f.write(json.dumps(doc) + "\n")
+    with pytest.raises(ServerError, match=key):
+        ManufacturerServer.load(store)
+
+
 def test_store_in_indented_single_document_format_loads_unchanged(tmp_path):
     store = str(tmp_path / "server.json")
     server, devices = _store_rig(store, n=2)
@@ -718,6 +737,14 @@ def _set(entry, path, value):
     entry[last] = value
 
 
+# A manifest path, short URL and full URL that no registration uses yet.
+_FRESH_NAMES = [
+    (("record", "manifest_path"), "/m/new.json"),
+    (("short_url",), "AAAAAAAAAAA"),
+    (("full_url",), "https://mfr.example/m/new.json"),
+]
+
+
 @pytest.mark.parametrize(
     "edits",
     [
@@ -735,10 +762,14 @@ def _set(entry, path, value):
         [(("record", "device_id"), "ee" * 16), (("manifest",), {"a": 1})],
         [(("record", "device_id"), "ee" * 16), (("short_url",), 12345678901)],
         [(("record", "device_id"), "ee" * 16), (("full_url",), None)],
+        # A record that can never match a SyncReq or verify one.
+        [(("record", "device_id"), "0102"), *_FRESH_NAMES],
+        [(("record", "device_id"), "ee" * 16), (("record", "device_public_key"), "00"), *_FRESH_NAMES],
     ],
     ids=[
         "known_device", "used_path", "used_short_url", "used_full_url", "str_latest_ts",
         "int_manifest_path", "list_record", "object_manifest", "int_short_url", "null_full_url",
+        "short_device_id", "short_public_key",
     ],
 )
 def test_store_rejects_a_bad_registration_line(tmp_path, edits):

@@ -58,11 +58,11 @@ def test_readme_scenario_table_lists_exactly_the_keys_each_section_accepts():
             sections = re.findall(r"`(\w+)\[\]`", section) or [section]
         for name in sections:
             documented[name].add(key.strip("`"))
-    accepted = {"top level": set(simnet._keys(simnet.Scenario))}
+    accepted = {"top level": set(crypto.record_keys(simnet.Scenario))}
     for owner in (simnet.Scenario, simnet.AdversaryPolicy):
-        for key, (_, kind, many, _, _) in simnet._keys(owner).items():
+        for key, (_, kind, many, _, _) in crypto.record_keys(owner).items():
             if many:
-                accepted[key] = set(simnet._keys(kind))
+                accepted[key] = set(crypto.record_keys(kind))
     assert documented == accepted
 
 
