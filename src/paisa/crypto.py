@@ -169,7 +169,7 @@ def write_owner_only(path: str, text: str) -> None:
 
 
 class RecordError(ValueError):
-    """A document that does not fit its record class, at a path such as ``records[1].latest_ts``."""
+    """A document that does not fit its record class, at a path such as ``snapshot.records[1].latest_ts``."""
 
 
 def rule(default=MISSING, *, minimum: Optional[int] = None, key: Optional[str] = None):
@@ -188,12 +188,13 @@ _SCALARS = {
 @functools.lru_cache(maxsize=None)
 def record_keys(cls) -> Dict[str, tuple]:
     """The fields of the record class ``cls`` by JSON key, resolved once: (field
-    name, kind, many, required, minimum). The kind is a scalar type or a record
-    class, ``Optional[X]`` read as X; ``many`` marks a ``Tuple[X, ...]`` list."""
+    name, kind, many, required, minimum). A kind is a scalar type, a record class or
+    ``dict`` (a ``Dict[str, str]``); ``Optional[X]`` is X, and ``many`` a ``Tuple[X, ...]``."""
     hints, table = get_type_hints(cls), {}
     for f in fields(cls):
         kind = hints[f.name]
         kind = get_args(kind)[0] if get_origin(kind) is Union else kind  # Optional[X]
+        kind = dict if get_origin(kind) is dict else kind
         many = get_origin(kind) is tuple
         table[f.metadata.get("key") or f.name] = (f.name, get_args(kind)[0] if many else kind, many,
                                                    f.default is MISSING, f.metadata.get("minimum"))
@@ -201,9 +202,9 @@ def record_keys(cls) -> Dict[str, tuple]:
 
 
 def _reader(kind, many: bool, minimum: Optional[int]):
-    """The reader ``(raw, where) -> value`` of a field at path ``where``: a
-    record, a list read as a tuple, or a scalar of exactly ``kind`` (a float
-    may be an integer, bytes are a hex string) not below ``minimum``."""
+    """The reader ``(raw, where) -> value`` of a field at path ``where``: a record, a
+    list read as a tuple, an object of strings as it is, or a scalar of exactly ``kind``
+    (a float may be an integer, bytes are a hex string) not below ``minimum``."""
     if many:
         one, plain = _reader(kind, False, minimum), {kind} if minimum is None else set()
 
@@ -214,6 +215,12 @@ def _reader(kind, many: bool, minimum: Optional[int]):
                 return tuple(raw)
             return tuple([one(item, f"{where}[{i}]") for i, item in enumerate(raw)])
         return read_list
+    if kind is dict:  # JSON keys are strings, so only the values are checked
+        def read_strings(raw, where):
+            if type(raw) is not dict or not all(type(v) is str for v in raw.values()):
+                raise RecordError(f"{where} must be an object of strings")
+            return raw
+        return read_strings
     if kind not in _SCALARS:
         return functools.partial(record_from_json, kind)
     types, name = _SCALARS[kind]
@@ -240,10 +247,12 @@ def _fields(cls) -> tuple:
 
 
 def record_to_json(record) -> dict:
-    """The dataclass ``record`` as the JSON object ``record_from_json`` reads
-    back: each field under its key, in order, ``bytes`` as lowercase hex."""
-    return {key: v.hex() if isinstance(v := getattr(record, info[0]), bytes) else v
-            for key, info in record_keys(type(record)).items()}
+    """The dataclass ``record`` as the JSON object ``record_from_json`` reads back: each
+    field under its key, in order, ``bytes`` as lowercase hex, records as objects."""
+    return {key: v.hex() if isinstance(v := getattr(record, name), bytes)
+            else v if v is None or kind in _SCALARS or kind is dict
+            else [record_to_json(r) for r in v] if many else record_to_json(v)
+            for key, (name, kind, many, _, _) in record_keys(type(record)).items()}
 
 
 def record_from_json(cls, doc, where: str = "record"):

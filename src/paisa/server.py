@@ -6,19 +6,15 @@ Each sync message ends in a ``wire.SyncOutcome`` (an answered SyncReq in its
 device record, and the store file, byte-identical. Committed timestamps
 persist on write so a restart never loses one.
 
-The store file is a snapshot followed by a journal. Line 1 is the whole
-state (``keys``, ``records``, ``manifests``, ``registry``) as compact JSON; it
-is written to a temporary file and renamed into place. Each record, and the
-``keys`` object, holds the fields of ``DeviceRecord`` (of ``crypto.KeyPair``),
-written and read by ``crypto.record_to_json`` and ``record_from_json``.
-After the snapshot, each write appends one line, so it costs one small write
-instead of a rewrite of every record:
+The store file is a snapshot followed by a journal, each line one record
+written and read by ``crypto.record_to_json`` and ``record_from_json``. Line
+1 is a ``Snapshot``, the whole state as compact JSON; it is written to a
+temporary file and renamed into place. After the snapshot, each write appends
+one line, so it costs one small write instead of a rewrite of every record:
 
-- a registration line, ``{"record": {...}, "manifest": text, "short_url":
-  key, "full_url": url}``, adds a device record, its manifest document and its
+- a ``RegistrationLine`` adds a device record, its manifest document and its
   short-URL registry entry;
-- a commit line, ``{"device_id": hex, "latest_ts": n}``, records a committed
-  SyncAck.
+- a ``CommitLine`` records a committed SyncAck.
 
 One compaction rule covers both: once the journal holds as many lines as there
 are records, the next write rewrites the snapshot instead. A registration adds
@@ -26,7 +22,8 @@ a record with its line, so only a commit meets that rule, and the file stays
 under the snapshot plus one line per record. A server appends only to a
 store it wrote or loaded itself; its first write is a snapshot. ``load``
 replays the journal in order and drops an unterminated last line (a torn
-write). It rejects any other line that does not parse, a registration of a
+write). A line with a ``record`` member is a registration, any other a commit.
+It rejects any other line that does not fit its record, a registration of a
 known device or of a manifest path, short URL or full URL already in use, and
 a commit that names an unknown device.
 """
@@ -70,6 +67,28 @@ class DeviceRecord:
             raise ValueError(f"device_id must be {wire.DEVICE_ID_LEN} bytes")
         if len(self.device_public_key) != crypto.PUBLIC_KEY_LEN:
             raise ValueError(f"device_public_key must be {crypto.PUBLIC_KEY_LEN} bytes")
+
+
+@dataclass
+class Snapshot:
+    keys: crypto.KeyPair
+    records: Tuple[DeviceRecord, ...]
+    manifests: Dict[str, str]
+    registry: Dict[str, str]
+
+
+@dataclass
+class RegistrationLine:
+    record: DeviceRecord
+    manifest: str
+    short_url: str
+    full_url: str
+
+
+@dataclass
+class CommitLine:
+    device_id: bytes
+    latest_ts: int
 
 
 @dataclass
@@ -140,11 +159,8 @@ class ManufacturerServer:
         entry. A refused registration changes none of them, and a description
         the manifest cannot encode leaves the device unprovisioned too.
         """
-        if device_id in self.records:
-            raise ServerError(f"duplicate device_id {device_id.hex()}")
         path = hosted_path(full_url)
-        if path in self.manifests:
-            raise ServerError(f"full_url {full_url!r} is in use: {path} already holds a manifest")
+        self._check_unused(device_id, path)
         desc = description if description is not None else DeviceDescription()
         short_url = self.registry.key_for(full_url)
         # A string with no UTF-8 form cannot be signed: refuse it before provisioning.
@@ -172,26 +188,29 @@ class ManufacturerServer:
             status=STATUS_ACTIVE,
         )
         man = sign_manifest(man, self.keys)
-        document = manifest_to_json(man)
         record = DeviceRecord(
             device_id=device_id,
             device_public_key=device_pk,
             latest_ts=ts_cur,
             manifest_path=path,
         )
-        self.registry.add(short_url, full_url)
-        self.records[device_id] = record
-        self.manifests[path] = document
-        if self.store_path is not None:
-            self._append(
-                {
-                    "record": crypto.record_to_json(record),
-                    "manifest": document.decode("utf-8"),
-                    "short_url": short_url,
-                    "full_url": full_url,
-                }
-            )
+        line = RegistrationLine(record, manifest_to_json(man).decode("utf-8"), short_url, full_url)
+        self._add(line)
+        self._append(line)
         return man, record
+
+    def _check_unused(self, device_id: bytes, path: str) -> None:
+        """Refuse a registration of a known device or of a manifest path in use."""
+        if device_id in self.records:
+            raise ServerError(f"duplicate device_id {device_id.hex()}")
+        if path in self.manifests:
+            raise ServerError(f"manifest path {path} is in use: it already holds a manifest")
+
+    def _add(self, line: RegistrationLine) -> None:
+        """Apply a registration: its registry entry, device record and manifest."""
+        self.registry.add(line.short_url, line.full_url)
+        self.records[line.record.device_id] = line.record
+        self.manifests[line.record.manifest_path] = line.manifest.encode("utf-8")
 
     def serve_manifest(self, path: str) -> Optional[bytes]:
         """The stored manifest document, byte-identical to the signed artifact."""
@@ -251,7 +270,7 @@ class ManufacturerServer:
             # Commit: the session is one-shot.
             del self._sessions[ack.n_svr1]
             record.latest_ts = max(record.latest_ts, ack.ts_prev)
-            self._append({"device_id": record.device_id.hex(), "latest_ts": record.latest_ts})
+            self._append(CommitLine(record.device_id, record.latest_ts))
             return wire.SyncOutcome("sync_commit", latest_ts=record.latest_ts)
         latest_ts = None if record is None else record.latest_ts
         return wire.SyncOutcome("sync_ack_reject", reason, latest_ts=latest_ts)
@@ -275,7 +294,7 @@ class ManufacturerServer:
 
     # -- persistence --------------------------------------------------------
 
-    def _append(self, entry: dict) -> None:
+    def _append(self, line: Union[RegistrationLine, CommitLine]) -> None:
         """Append one journal line for a change already made in memory, or
         compact."""
         if self.store_path is None:
@@ -283,48 +302,32 @@ class ManufacturerServer:
         if self._snapshot_path != self.store_path or self._journal_lines >= len(self.records):
             self._persist()
             return
-        line = json.dumps(entry, separators=(",", ":"))
         with open(self.store_path, "a", encoding="utf-8") as f:
-            f.write(line + "\n")
+            f.write(json.dumps(crypto.record_to_json(line), separators=(",", ":")) + "\n")
         self._journal_lines += 1
 
     def _persist(self) -> None:
         """Write the snapshot, which empties the journal."""
-        doc = {
-            "keys": crypto.record_to_json(self.keys),
-            "records": [crypto.record_to_json(r) for r in self.records.values()],
-            "manifests": {p: data.decode("utf-8") for p, data in self.manifests.items()},
-            "registry": self.registry.to_dict(),
-        }
-        crypto.write_owner_only(self.store_path, json.dumps(doc, separators=(",", ":")) + "\n")
+        manifests = {p: data.decode("utf-8") for p, data in self.manifests.items()}
+        snapshot = Snapshot(self.keys, tuple(self.records.values()), manifests, self.registry.to_dict())
+        text = json.dumps(crypto.record_to_json(snapshot), separators=(",", ":"))
+        crypto.write_owner_only(self.store_path, text + "\n")
         self._snapshot_path = self.store_path
         self._journal_lines = 0
 
-    def _replay(self, entry: dict) -> None:
-        """Apply one journal line; ``ValueError`` or ``TypeError`` if it is
-        malformed or does not fit the state before it."""
-        if not isinstance(entry, dict):
-            raise TypeError("a journal line must be a JSON object")
-        if "record" not in entry:
-            record = self.records.get(bytes.fromhex(entry["device_id"]))
-            if record is None:
-                raise ValueError("it commits for an unknown device")
-            latest_ts = entry["latest_ts"]
-            if type(latest_ts) is not int:
-                raise TypeError("it has no integer latest_ts")
-            record.latest_ts = max(record.latest_ts, latest_ts)
+    def _replay(self, doc) -> None:
+        """Apply one journal line; ``ServerError`` or ``ValueError`` if it
+        does not fit its record or the state before it."""
+        if isinstance(doc, dict) and "record" in doc:
+            line = crypto.record_from_json(RegistrationLine, doc, "registration")
+            self._check_unused(line.record.device_id, line.record.manifest_path)
+            self._add(line)
             return
-        record = crypto.record_from_json(DeviceRecord, entry["record"], "record")
-        document = entry["manifest"]
-        if type(document) is not str:
-            raise TypeError("its manifest is not a string")
-        if record.device_id in self.records:
-            raise ValueError(f"it registers known device {record.device_id.hex()}")
-        if record.manifest_path in self.manifests:
-            raise ValueError(f"it registers used manifest path {record.manifest_path}")
-        self.registry.add(entry["short_url"], entry["full_url"])
-        self.records[record.device_id] = record
-        self.manifests[record.manifest_path] = document.encode("utf-8")
+        commit = crypto.record_from_json(CommitLine, doc, "commit")
+        record = self.records.get(commit.device_id)
+        if record is None:
+            raise ServerError("it commits for an unknown device")
+        record.latest_ts = max(record.latest_ts, commit.latest_ts)
 
     @classmethod
     def load(cls, store_path: str, nonce_source=None) -> "ManufacturerServer":
@@ -335,14 +338,12 @@ class ManufacturerServer:
             # The snapshot is the first JSON document; a store written as one
             # indented document (an older format) is a snapshot with no journal.
             doc, end = json.JSONDecoder().raw_decode(text)
-            keys = crypto.matched_keypair(crypto.record_from_json(crypto.KeyPair, doc["keys"], "keys"))
-            srv = cls(keys, store_path=store_path, nonce_source=nonce_source)
-            for i, rec in enumerate(doc["records"]):
-                record = crypto.record_from_json(DeviceRecord, rec, f"records[{i}]")
-                srv.records[record.device_id] = record
-            srv.manifests = {p: data.encode("utf-8") for p, data in doc["manifests"].items()}
-            srv.registry = ShortUrlRegistry.from_dict(doc["registry"])
-        except (OSError, KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
+            snapshot = crypto.record_from_json(Snapshot, doc, "snapshot")
+            srv = cls(crypto.matched_keypair(snapshot.keys), store_path=store_path, nonce_source=nonce_source)
+            srv.records = {r.device_id: r for r in snapshot.records}
+            srv.manifests = {p: data.encode("utf-8") for p, data in snapshot.manifests.items()}
+            srv.registry = ShortUrlRegistry.from_dict(snapshot.registry)
+        except (OSError, ValueError, RecursionError) as exc:
             raise ServerError(f"{store_path}: unreadable or malformed snapshot: {exc!r}") from exc
 
         lines = text[end:].lstrip().split("\n")
@@ -350,7 +351,7 @@ class ManufacturerServer:
         for n, line in enumerate(lines, start=2):
             try:
                 srv._replay(json.loads(line))
-            except (ValueError, TypeError, KeyError, RecursionError) as exc:
+            except (ServerError, ValueError, RecursionError) as exc:
                 raise ServerError(f"{store_path}: journal line {n} is corrupt: {exc}") from exc
         # Append only after a complete last line. A torn one, or an older
         # store with no final newline, is rewritten by the next write.

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from paisa import crypto, simnet, wire
 from paisa.device import Device, DeviceError, TimerConfig, TrustedState
 from paisa.manifest import Manifest, ManifestError, manifest_from_json, manifest_to_json, sign_manifest
-from paisa.server import DeviceRecord
+from paisa.server import CommitLine, DeviceRecord, ManufacturerServer, RegistrationLine, ServerError, Snapshot
 
 from p256_oracle import ecdsa_verify, scalar_mult
 
@@ -297,9 +299,10 @@ _texts = st.text(max_size=6)
 )
 def test_every_record_class_round_trips_through_json(seed, device_id, sw_hash, latest_ts, short_url, texts, lists):
     keys = crypto.generate_keypair(seed)
+    device_record = DeviceRecord(device_id, keys.public_key, latest_ts, texts[0])
     records = [
         keys,
-        DeviceRecord(device_id, keys.public_key, latest_ts, texts[0]),
+        device_record,
         TrustedState(
             device_id, keys.private_key, keys.public_key, _MFR_KEYS.public_key, short_url, texts[0],
             sw_hash, latest_ts, 10, 30,
@@ -311,6 +314,46 @@ def test_every_record_class_round_trips_through_json(seed, device_id, sw_hash, l
             deployment_location=texts[6], sw_hash=sw_hash, device_public_key=keys.public_key,
             full_url=texts[0], status="revoked",
         ), _MFR_KEYS),
+        Snapshot(keys, (device_record,), {texts[0]: texts[1]}, {short_url: texts[2]}),
+        RegistrationLine(device_record, texts[1], short_url, texts[0]),
+        CommitLine(device_id, latest_ts),
     ]
     for record in records:
         assert _round_trip(record) == record
+
+
+def _store_text():
+    """A store of two devices: its snapshot line and a registration line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "server.json")
+        server = ManufacturerServer(_MFR_KEYS, store_path=path, nonce_source=random.Random(1))
+        for i in (1, 2):
+            server.register_device(
+                device=Device(nonce_source=random.Random(i)), device_id=bytes([i]) * 16, sw_dev=b"",
+                full_url=f"https://mfr.example/m/{i}.json", ts_cur=0, timer_config=TimerConfig(10, 10),
+                key_seed=bytes([i]) * 32,
+            )
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+
+
+STORE_TEXT = _store_text()
+# A registration no earlier line conflicts with, and a commit for a known device.
+REGISTRATION_DOC = json.loads(STORE_TEXT.splitlines()[-1])
+REGISTRATION_DOC["record"].update(device_id="ee" * 16, manifest_path="/m/new.json")
+REGISTRATION_DOC.update(short_url="AAAAAAAAAAA", full_url="https://mfr.example/m/new.json")
+COMMIT_DOC = {"device_id": "01" * 16, "latest_ts": 5}
+_LINE_KEYS = {k for cls in (RegistrationLine, CommitLine, DeviceRecord) for k in crypto.record_keys(cls)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=documents(REGISTRATION_DOC, _LINE_KEYS) | documents(COMMIT_DOC, _LINE_KEYS))
+def test_store_load_refuses_a_journal_line_only_with_server_error(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "server.json")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(STORE_TEXT + json.dumps(doc) + "\n")
+        try:
+            ManufacturerServer.load(path)
+        except ServerError:
+            pass

@@ -11,6 +11,7 @@ from paisa.manifest import (
     ManifestError,
     ShortUrlRegistry,
     canonicalize,
+    hosted_path,
     manifest_from_json,
     manifest_to_json,
     sign_manifest,
@@ -204,6 +205,18 @@ def test_registry_add_refuses_a_bad_key_or_url(key, url):
     with pytest.raises(ManifestError):
         reg.add(key, url)
     assert reg.to_dict() == {}
+
+
+@pytest.mark.parametrize(
+    "full_url, path",
+    [
+        ("https://mfr.example/manifests/a.json", "/manifests/a.json"),
+        ("mfr.example/a.json", "/a.json"),
+        ("https:///m.json", "/m.json"),  # an empty host
+    ],
+)
+def test_hosted_path_is_the_full_url_without_scheme_and_host(full_url, path):
+    assert hosted_path(full_url) == path
 
 
 def test_registry_serialization_roundtrip():

@@ -286,6 +286,15 @@ def test_manifest_cache_avoids_refetch_within_epsilon(rig):
     assert fetcher.call_count == 2
 
 
+def test_manifest_cache_refetches_only_once_older_than_epsilon(rig):
+    receiver, clock, fetcher = make_receiver(rig, now=1000)
+    receiver.process_frame(synced_frame(rig, now=1000))
+    for now, calls in ((1000 + receiver.cfg.epsilon, 1), (1001 + receiver.cfg.epsilon, 2)):
+        clock.now = rig["device"].now = now
+        assert receiver.process_frame(rig["device"].announce_now()[0]).verdict is Verdict.VERIFIED
+        assert fetcher.call_count == calls
+
+
 @pytest.fixture
 def manifest_work(monkeypatch):
     """Counts manifest parses and manufacturer-signature checks in the receiver."""
@@ -453,6 +462,13 @@ def test_dedupe_collapses_same_verdict_runs():
     entries = dedupe(reports, window=10)
     assert entries == [
         DedupeEntry(device_id="aa", verdict=Verdict.VERIFIED, first_seen=0, last_seen=10, count=3)
+    ]
+
+
+def test_dedupe_collapses_reports_exactly_window_apart():
+    entries = dedupe([rep(Verdict.VERIFIED, 0), rep(Verdict.VERIFIED, 10)], window=10)
+    assert entries == [
+        DedupeEntry(device_id="aa", verdict=Verdict.VERIFIED, first_seen=0, last_seen=10, count=2)
     ]
 
 

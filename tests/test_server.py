@@ -450,6 +450,7 @@ def test_store_drops_a_torn_last_line(tmp_path):
         '{"latest_ts":5}',
         '{"device_id":"%s","latest_ts":"5"}' % ("01" * 16),
         "[1, 2]",
+        '{"device_id":"%s","latest_ts":5,"junk":1}' % ("01" * 16),
     ],
 )
 def test_store_rejects_a_corrupt_terminated_line(tmp_path, line):
@@ -493,6 +494,24 @@ def test_store_rejects_a_snapshot_record_or_keys_that_do_not_fit_their_fields(tm
     with open(store, "w", encoding="utf-8") as f:
         f.write(json.dumps(doc) + "\n")
     with pytest.raises(ServerError, match=key):
+        ManufacturerServer.load(store)
+
+
+@pytest.mark.parametrize(
+    "section, value",
+    [("manifests", {"/m.json": 5}), ("manifests", ["x"]), ("registry", {"AAAAAAAAAAA": None})],
+    ids=["int_manifest", "list_manifests", "null_url"],
+)
+def test_store_rejects_a_snapshot_map_that_is_not_an_object_of_strings(tmp_path, section, value):
+    store = str(tmp_path / "server.json")
+    server, _ = _store_rig(store, n=2)
+    server._persist()
+    with open(store, encoding="utf-8") as f:
+        doc = json.loads(f.readline())
+    doc[section] = value
+    with open(store, "w", encoding="utf-8") as f:
+        f.write(json.dumps(doc) + "\n")
+    with pytest.raises(ServerError, match=f"snapshot.{section} must be an object of strings"):
         ManufacturerServer.load(store)
 
 
@@ -765,11 +784,13 @@ _FRESH_NAMES = [
         # A record that can never match a SyncReq or verify one.
         [(("record", "device_id"), "0102"), *_FRESH_NAMES],
         [(("record", "device_id"), "ee" * 16), (("record", "device_public_key"), "00"), *_FRESH_NAMES],
+        # A fresh registration: the unknown member is its only fault.
+        [(("record", "device_id"), "ee" * 16), *_FRESH_NAMES, (("junk",), 1)],
     ],
     ids=[
         "known_device", "used_path", "used_short_url", "used_full_url", "str_latest_ts",
         "int_manifest_path", "list_record", "object_manifest", "int_short_url", "null_full_url",
-        "short_device_id", "short_public_key",
+        "short_device_id", "short_public_key", "unknown_member",
     ],
 )
 def test_store_rejects_a_bad_registration_line(tmp_path, edits):
