@@ -111,6 +111,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    pinned = frozenset({args.pin}) if args.pin else None
+    try:
+        cfg = ReceiverConfig(epsilon=args.epsilon, manifest_fetcher=None, pinned_mfr_keys=pinned)
+    except ValueError as exc:
+        print(f"bad --epsilon: {exc}", file=sys.stderr)
+        return 1
     try:
         frames = pcapio.read_pcap(args.input)
     except (OSError, pcapio.PcapError) as exc:
@@ -119,11 +125,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     server = _load_store(args.store)
     if server is None:
         return 1
-    fetcher = RegistryFetcher(server.registry, server.serve_manifest)
-    pinned = frozenset({args.pin}) if args.pin else None
-    cfg = ReceiverConfig(
-        epsilon=args.epsilon, manifest_fetcher=fetcher, pinned_mfr_keys=pinned
-    )
+    cfg.manifest_fetcher = RegistryFetcher(server.registry, server.serve_manifest)
     current_ts = [0]
     receiver = Receiver(cfg, clock=lambda: current_ts[0])
     verified = 0

@@ -10,22 +10,25 @@ The store file is a snapshot followed by a journal, each line one record
 written and read by ``crypto.record_to_json`` and ``record_from_json``. Line
 1 is a ``Snapshot``, the whole state as compact JSON; it is written to a
 temporary file and renamed into place. After the snapshot, each write appends
-one line, so it costs one small write instead of a rewrite of every record:
-
-- a ``RegistrationLine`` adds a device record, its manifest document and its
-  short-URL registry entry;
-- a ``CommitLine`` records a committed SyncAck.
+one line, so it costs one small write instead of a rewrite of every record: a
+``RegistrationLine`` adds a device record, its manifest document and its
+short-URL registry entry, and a ``CommitLine`` records a committed SyncAck.
 
 One compaction rule covers both: once the journal holds as many lines as there
 are records, the next write rewrites the snapshot instead. A registration adds
 a record with its line, so only a commit meets that rule, and the file stays
 under the snapshot plus one line per record. A server appends only to a
-store it wrote or loaded itself; its first write is a snapshot. ``load``
-replays the journal in order and drops an unterminated last line (a torn
-write). A line with a ``record`` member is a registration, any other a commit.
-It rejects any other line that does not fit its record, a registration of a
-known device or of a manifest path, short URL or full URL already in use, and
-a commit that names an unknown device.
+store it wrote or loaded itself; its first write is a snapshot.
+
+Only ``_apply`` changes the state, one line at a time, for registration,
+commit and ``load`` alike. ``load`` reads the snapshot as one registration per
+record, of the manifest at its ``manifest_path`` and the registry entry whose
+full URL has that path, then replays the journal in order and drops an
+unterminated last line (a torn write). A line with a ``record`` member is a
+registration, any other a commit. It refuses a line that does not fit its
+record, a registration of a device, manifest path, short URL or full URL in
+use, a commit for an unknown device, a snapshot record with no manifest or
+registry entry at its path, and a manifest or registry entry no record names.
 """
 
 from __future__ import annotations
@@ -195,7 +198,7 @@ class ManufacturerServer:
             manifest_path=path,
         )
         line = RegistrationLine(record, manifest_to_json(man).decode("utf-8"), short_url, full_url)
-        self._add(line)
+        self._apply(line)
         self._append(line)
         return man, record
 
@@ -206,11 +209,18 @@ class ManufacturerServer:
         if path in self.manifests:
             raise ServerError(f"manifest path {path} is in use: it already holds a manifest")
 
-    def _add(self, line: RegistrationLine) -> None:
-        """Apply a registration: its registry entry, device record and manifest."""
-        self.registry.add(line.short_url, line.full_url)
-        self.records[line.record.device_id] = line.record
-        self.manifests[line.record.manifest_path] = line.manifest.encode("utf-8")
+    def _apply(self, line: Union[RegistrationLine, CommitLine]) -> None:
+        """Apply one store line; one that does not fit the state raises and changes nothing."""
+        if isinstance(line, RegistrationLine):
+            self._check_unused(line.record.device_id, line.record.manifest_path)
+            self.registry.add(line.short_url, line.full_url)
+            self.records[line.record.device_id] = line.record
+            self.manifests[line.record.manifest_path] = line.manifest.encode("utf-8")
+            return
+        record = self.records.get(line.device_id)
+        if record is None:
+            raise ServerError("it commits for an unknown device")
+        record.latest_ts = max(record.latest_ts, line.latest_ts)
 
     def serve_manifest(self, path: str) -> Optional[bytes]:
         """The stored manifest document, byte-identical to the signed artifact."""
@@ -269,8 +279,9 @@ class ManufacturerServer:
         else:
             # Commit: the session is one-shot.
             del self._sessions[ack.n_svr1]
-            record.latest_ts = max(record.latest_ts, ack.ts_prev)
-            self._append(CommitLine(record.device_id, record.latest_ts))
+            line = CommitLine(record.device_id, max(record.latest_ts, ack.ts_prev))
+            self._apply(line)
+            self._append(line)
             return wire.SyncOutcome("sync_commit", latest_ts=record.latest_ts)
         latest_ts = None if record is None else record.latest_ts
         return wire.SyncOutcome("sync_ack_reject", reason, latest_ts=latest_ts)
@@ -315,20 +326,6 @@ class ManufacturerServer:
         self._snapshot_path = self.store_path
         self._journal_lines = 0
 
-    def _replay(self, doc) -> None:
-        """Apply one journal line; ``ServerError`` or ``ValueError`` if it
-        does not fit its record or the state before it."""
-        if isinstance(doc, dict) and "record" in doc:
-            line = crypto.record_from_json(RegistrationLine, doc, "registration")
-            self._check_unused(line.record.device_id, line.record.manifest_path)
-            self._add(line)
-            return
-        commit = crypto.record_from_json(CommitLine, doc, "commit")
-        record = self.records.get(commit.device_id)
-        if record is None:
-            raise ServerError("it commits for an unknown device")
-        record.latest_ts = max(record.latest_ts, commit.latest_ts)
-
     @classmethod
     def load(cls, store_path: str, nonce_source=None) -> "ManufacturerServer":
         """Read a store file; an unreadable or malformed one raises ``ServerError``."""
@@ -340,17 +337,26 @@ class ManufacturerServer:
             doc, end = json.JSONDecoder().raw_decode(text)
             snapshot = crypto.record_from_json(Snapshot, doc, "snapshot")
             srv = cls(crypto.matched_keypair(snapshot.keys), store_path=store_path, nonce_source=nonce_source)
-            srv.records = {r.device_id: r for r in snapshot.records}
-            srv.manifests = {p: data.encode("utf-8") for p, data in snapshot.manifests.items()}
-            srv.registry = ShortUrlRegistry.from_dict(snapshot.registry)
-        except (OSError, ValueError, RecursionError) as exc:
+            entries = {hosted_path(url): (key, url) for key, url in snapshot.registry.items()}
+            for record in snapshot.records:
+                path = record.manifest_path
+                if path not in snapshot.manifests or path not in entries:
+                    raise ServerError(f"no manifest or registry entry at {path}")
+                srv._apply(RegistrationLine(record, snapshot.manifests[path], *entries[path]))
+            if srv.manifests.keys() != snapshot.manifests.keys() or srv.registry.to_dict() != snapshot.registry:
+                raise ServerError("a manifest or registry entry that no record names")
+        except (OSError, ValueError, RecursionError, ServerError) as exc:
             raise ServerError(f"{store_path}: unreadable or malformed snapshot: {exc!r}") from exc
 
         lines = text[end:].lstrip().split("\n")
         lines.pop()  # "" unless the last write was cut short (a torn line)
         for n, line in enumerate(lines, start=2):
             try:
-                srv._replay(json.loads(line))
+                doc = json.loads(line)
+                if isinstance(doc, dict) and "record" in doc:
+                    srv._apply(crypto.record_from_json(RegistrationLine, doc, "registration"))
+                else:
+                    srv._apply(crypto.record_from_json(CommitLine, doc, "commit"))
             except (ServerError, ValueError, RecursionError) as exc:
                 raise ServerError(f"{store_path}: journal line {n} is corrupt: {exc}") from exc
         # Append only after a complete last line. A torn one, or an older

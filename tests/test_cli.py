@@ -56,8 +56,10 @@ def test_keygen_and_provision_default_to_paisa_key_in_the_working_directory(tmp_
             "cannot read image",
         ),
         (["keygen", "--out", "missing/k.key", "--seed", SEED], "cannot write"),
+        # Refused before the missing capture or store is read.
+        (["scan", "--input", "missing.pcap", "--store", "missing.json", "--epsilon", "-1"], "bad --epsilon"),
     ],
-    ids=["short_seed", "missing_image", "missing_out_dir"],
+    ids=["short_seed", "missing_image", "missing_out_dir", "negative_epsilon"],
 )
 def test_unusable_input_fails_cleanly_and_writes_nothing(tmp_path, monkeypatch, capsys, argv, error):
     monkeypatch.chdir(tmp_path)

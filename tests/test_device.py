@@ -23,6 +23,18 @@ def test_timer_config_requires_multiple():
         TimerConfig(t_announce=0, t_attest=10)
 
 
+@pytest.mark.parametrize("t_announce, t_attest", [(10, 0), (-10, -10)])
+def test_timer_config_refuses_a_period_that_is_not_positive(t_announce, t_attest):
+    with pytest.raises(ValueError, match="positive"):
+        TimerConfig(t_announce, t_attest)
+
+
+@pytest.mark.parametrize("t_announce, t_attest", [(10.0, 10), (True, True)])
+def test_timer_config_refuses_a_period_that_is_not_an_integer(t_announce, t_attest):
+    with pytest.raises(TypeError, match="integers"):
+        TimerConfig(t_announce, t_attest)
+
+
 def test_provision_outputs_public_key_matching_manifest(rig):
     assert rig["device"].trusted.public_key == rig["manifest"].device_public_key
 

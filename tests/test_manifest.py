@@ -219,14 +219,6 @@ def test_hosted_path_is_the_full_url_without_scheme_and_host(full_url, path):
     assert hosted_path(full_url) == path
 
 
-def test_registry_serialization_roundtrip():
-    reg = ShortUrlRegistry()
-    key = register(reg, "https://mfr.example/x.json")
-    restored = ShortUrlRegistry.from_dict(reg.to_dict())
-    assert restored.resolve(key) == "https://mfr.example/x.json"
-    assert restored.key_for("https://mfr.example/x.json") == key
-
-
 def test_registry_bijective_over_many_urls():
     reg = ShortUrlRegistry()
     urls = [f"https://mfr.example/m/{i}.json" for i in range(500)]

@@ -184,6 +184,16 @@ def test_tampered_hosted_manifest_yields_bad_manifest_signature(rig):
     assert receiver.process_frame(frame).verdict is Verdict.BAD_MANIFEST_SIGNATURE
 
 
+@pytest.mark.parametrize("member", ["manufacturer_public_key", "manifest_signature"])
+def test_hosted_manifest_without_its_key_or_its_signature_is_bad_manifest_signature(rig, member):
+    frame = synced_frame(rig, now=1000)
+    server = rig["server"]
+    man = manifest_from_json(server.serve_manifest("/manifests/rig.json"))
+    server.manifests["/manifests/rig.json"] = manifest_to_json(dataclasses.replace(man, **{member: None}))
+    receiver, _, _ = make_receiver(rig, now=1000)
+    assert receiver.process_frame(frame).verdict is Verdict.BAD_MANIFEST_SIGNATURE
+
+
 def test_hosted_manifest_nested_past_the_recursion_limit_is_bad_manifest_signature(rig):
     frame = synced_frame(rig, now=1000)
     rig["server"].manifests["/manifests/rig.json"] = b"[" * 100_000

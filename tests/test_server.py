@@ -515,6 +515,59 @@ def test_store_rejects_a_snapshot_map_that_is_not_an_object_of_strings(tmp_path,
         ManufacturerServer.load(store)
 
 
+def _rewrite_snapshot(store, edit):
+    """Replace the store with its snapshot line, changed in place by ``edit``."""
+    with open(store, encoding="utf-8") as f:
+        doc = json.loads(f.readline())
+    edit(doc)
+    with open(store, "w", encoding="utf-8") as f:
+        f.write(json.dumps(doc) + "\n")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["records"].append(dict(doc["records"][0], latest_ts=999999)),
+        lambda doc: doc["manifests"].pop(doc["records"][1]["manifest_path"]),
+        lambda doc: doc["records"].pop(),
+        lambda doc: doc["registry"].pop(next(iter(doc["registry"]))),
+        lambda doc: doc["registry"].update(BBBBBBBBBBB="https://mfr.example/manifests/orphan.json"),
+    ],
+    ids=["second_record_of_a_device", "record_without_manifest", "manifest_and_entry_of_no_record",
+         "record_without_registry_entry", "registry_entry_of_no_record"],
+)
+def test_store_rejects_a_snapshot_whose_records_manifests_and_registry_disagree(tmp_path, edit):
+    store = str(tmp_path / "server.json")
+    server, _ = _store_rig(store, n=3)
+    server._persist()
+    _rewrite_snapshot(store, edit)
+    with pytest.raises(ServerError, match="snapshot") as exc:
+        ManufacturerServer.load(store)
+    assert store in str(exc.value)
+
+
+def test_store_load_then_persist_rewrites_the_snapshot_byte_identical(tmp_path):
+    store = str(tmp_path / "server.json")
+    server, devices = _store_rig(store, n=3)
+    assert complete_sync(server, devices[1], now=30).committed
+    server._persist()
+    written = _read(store)
+    ManufacturerServer.load(store)._persist()
+    assert _read(store) == written
+
+
+def test_store_reload_keeps_every_short_url_and_its_full_url(tmp_path):
+    store = str(tmp_path / "server.json")
+    server, devices = _store_rig(store, n=3)
+    from_journal = ManufacturerServer.load(store).registry  # a snapshot and registration lines
+    server._persist()
+    for registry in (from_journal, ManufacturerServer.load(store).registry):
+        for i, device in enumerate(devices):
+            full_url = f"https://mfr.example/manifests/store-{i}.json"
+            assert registry.resolve(device.trusted.short_url) == full_url
+            assert registry.key_for(full_url) == device.trusted.short_url
+
+
 def test_store_in_indented_single_document_format_loads_unchanged(tmp_path):
     store = str(tmp_path / "server.json")
     server, devices = _store_rig(store, n=2)
