@@ -114,7 +114,10 @@ def hash_chunked(data: bytes, chunk_size: int) -> bytes:
     """SHA-256 of ``data`` computed by incremental ``chunk_size``-byte updates.
 
     The result is independent of ``chunk_size``; chunking mirrors how a
-    constrained device walks its program memory.
+    constrained device walks its program memory. In this model each chunk is
+    one interpreter step that costs time and measures nothing, so the device
+    walks 1 MiB per update (``device.ATTEST_CHUNK_SIZE``): a 1 MiB image took
+    827-864 us in 4 KiB updates and 749-783 us in one (shared 2-core Xeon VM).
     """
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")

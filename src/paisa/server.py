@@ -29,6 +29,10 @@ registration, any other a commit. It refuses a line that does not fit its
 record, a registration of a device, manifest path, short URL or full URL in
 use, a commit for an unknown device, a snapshot record with no manifest or
 registry entry at its path, and a manifest or registry entry no record names.
+It parses each loaded registration's manifest once and refuses one that names
+another device id, device key or full URL than its record and registry entry,
+or a record whose manifest path is not that full URL's.
+``register_device`` builds its manifest from those values, so it parses none.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .manifest import (
     ManifestError,
     ShortUrlRegistry,
     hosted_path,
+    manifest_from_json,
     manifest_to_json,
     sign_manifest,
 )
@@ -86,6 +91,19 @@ class RegistrationLine:
     manifest: str
     short_url: str
     full_url: str
+
+
+def _named_by_its_manifest(line: RegistrationLine) -> RegistrationLine:
+    """``line``, read from a store, if its manifest names its record's device and
+    key and its registry entry's full URL, whose path is the record's manifest
+    path; else ``ServerError``."""
+    man = manifest_from_json(line.manifest.encode("utf-8"))
+    record = line.record
+    if (man.device_id, man.device_public_key, man.full_url, hosted_path(man.full_url)) != (
+        record.device_id, record.device_public_key, line.full_url, record.manifest_path
+    ):
+        raise ServerError(f"the manifest at {record.manifest_path} names another device, key or URL")
+    return line
 
 
 @dataclass
@@ -342,7 +360,8 @@ class ManufacturerServer:
                 path = record.manifest_path
                 if path not in snapshot.manifests or path not in entries:
                     raise ServerError(f"no manifest or registry entry at {path}")
-                srv._apply(RegistrationLine(record, snapshot.manifests[path], *entries[path]))
+                registration = RegistrationLine(record, snapshot.manifests[path], *entries[path])
+                srv._apply(_named_by_its_manifest(registration))
             if srv.manifests.keys() != snapshot.manifests.keys() or srv.registry.to_dict() != snapshot.registry:
                 raise ServerError("a manifest or registry entry that no record names")
         except (OSError, ValueError, RecursionError, ServerError) as exc:
@@ -354,7 +373,8 @@ class ManufacturerServer:
             try:
                 doc = json.loads(line)
                 if isinstance(doc, dict) and "record" in doc:
-                    srv._apply(crypto.record_from_json(RegistrationLine, doc, "registration"))
+                    registration = crypto.record_from_json(RegistrationLine, doc, "registration")
+                    srv._apply(_named_by_its_manifest(registration))
                 else:
                     srv._apply(crypto.record_from_json(CommitLine, doc, "commit"))
             except (ServerError, ValueError, RecursionError) as exc:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from paisa import crypto, simnet, wire
-from paisa.device import Device, DeviceError, TimerConfig, TrustedState
+from paisa.device import ATTEST_CHUNK_SIZE, Device, DeviceError, TimerConfig, TrustedState
 from paisa.manifest import Manifest, ManifestError, manifest_from_json, manifest_to_json, sign_manifest
 from paisa.server import CommitLine, DeviceRecord, ManufacturerServer, RegistrationLine, ServerError, Snapshot
 
@@ -59,6 +59,13 @@ def test_hash_chunked_matches_hashlib_oracle():
 @given(st.binary(min_size=0, max_size=5000), st.integers(min_value=1, max_value=6000))
 def test_hash_chunked_chunk_invariance_property(data, chunk):
     assert crypto.hash_chunked(data, chunk) == hashlib.sha256(data).digest()
+
+
+@pytest.mark.parametrize("chunks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+def test_hash_chunked_matches_hashlib_around_the_attestation_chunk(chunks, extra):
+    length = chunks * ATTEST_CHUNK_SIZE + extra
+    data = random.Random(length).randbytes(length)
+    assert crypto.hash_chunked(data, ATTEST_CHUNK_SIZE) == hashlib.sha256(data).digest()
 
 
 def test_hash_chunked_rejects_nonpositive_chunk():

@@ -486,6 +486,14 @@ def test_attesting_an_untouched_image_does_not_copy_it():
     assert dev.software.contents is MB_IMAGE
 
 
+def test_attestation_sees_a_flip_in_the_byte_after_the_first_chunk():
+    dev = Device()
+    dev.provision(**provision_kwargs(random.Random(12).randbytes(ATTEST_CHUNK_SIZE + 1)))
+    assert dev.attest().att_result == 1
+    dev.software.program_memory[ATTEST_CHUNK_SIZE] ^= 0x01
+    assert dev.attest().att_result == 0
+
+
 _INDEXED = (st.integers(0, 1 << 16), st.integers(0, 255))
 MEMORY_ACTIONS = st.lists(
     st.one_of(
@@ -500,7 +508,7 @@ MEMORY_ACTIONS = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(
-    image=st.binary(min_size=1, max_size=3 * ATTEST_CHUNK_SIZE + 1),
+    image=st.binary(min_size=1, max_size=3 * 4096 + 1),
     kind=st.sampled_from(["bytes", "bytearray", "memoryview"]),
     via=st.sampled_from(["provision", "from_state"]),
     actions=MEMORY_ACTIONS,

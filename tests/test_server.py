@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import tempfile
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -515,6 +516,10 @@ def test_store_rejects_a_snapshot_map_that_is_not_an_object_of_strings(tmp_path,
         ManufacturerServer.load(store)
 
 
+def _swap(mapping, a, b):
+    mapping[a], mapping[b] = mapping[b], mapping[a]
+
+
 def _rewrite_snapshot(store, edit):
     """Replace the store with its snapshot line, changed in place by ``edit``."""
     with open(store, encoding="utf-8") as f:
@@ -532,9 +537,14 @@ def _rewrite_snapshot(store, edit):
         lambda doc: doc["records"].pop(),
         lambda doc: doc["registry"].pop(next(iter(doc["registry"]))),
         lambda doc: doc["registry"].update(BBBBBBBBBBB="https://mfr.example/manifests/orphan.json"),
+        lambda doc: _swap(doc["manifests"], *(r["manifest_path"] for r in doc["records"][:2])),
+        lambda doc: doc["registry"].update(
+            {k: u.replace("mfr.example", "other.example") for k, u in doc["registry"].items()}
+        ),
     ],
     ids=["second_record_of_a_device", "record_without_manifest", "manifest_and_entry_of_no_record",
-         "record_without_registry_entry", "registry_entry_of_no_record"],
+         "record_without_registry_entry", "registry_entry_of_no_record",
+         "manifests_of_two_devices_swapped", "registry_entries_on_another_host"],
 )
 def test_store_rejects_a_snapshot_whose_records_manifests_and_registry_disagree(tmp_path, edit):
     store = str(tmp_path / "server.json")
@@ -803,10 +813,21 @@ def _registration(store):
 
 
 def _set(entry, path, value):
+    """Set ``entry`` at ``path`` to ``value``, or to ``value(entry)`` if it is callable."""
+    target = entry
     *parents, last = path
     for key in parents:
-        entry = entry[key]
-    entry[last] = value
+        target = target[key]
+    target[last] = value(entry) if callable(value) else value
+
+
+def _own_manifest(entry, **names):
+    """The entry's manifest renamed to the entry's device, key and full URL, then to ``names``."""
+    doc = json.loads(entry["manifest"])
+    record = entry["record"]
+    doc.update(device_id=record["device_id"], device_public_key=record["device_public_key"])
+    doc.update({"full_url": entry["full_url"], **names})
+    return json.dumps(doc)
 
 
 # A manifest path, short URL and full URL that no registration uses yet.
@@ -815,6 +836,8 @@ _FRESH_NAMES = [
     (("short_url",), "AAAAAAAAAAA"),
     (("full_url",), "https://mfr.example/m/new.json"),
 ]
+# A registration of an unknown device under those names, with its own manifest.
+_FRESH_REGISTRATION = [(("record", "device_id"), "ee" * 16), *_FRESH_NAMES, (("manifest",), _own_manifest)]
 
 
 @pytest.mark.parametrize(
@@ -838,12 +861,21 @@ _FRESH_NAMES = [
         [(("record", "device_id"), "0102"), *_FRESH_NAMES],
         [(("record", "device_id"), "ee" * 16), (("record", "device_public_key"), "00"), *_FRESH_NAMES],
         # A fresh registration: the unknown member is its only fault.
-        [(("record", "device_id"), "ee" * 16), *_FRESH_NAMES, (("junk",), 1)],
+        [*_FRESH_REGISTRATION, (("junk",), 1)],
+        # A fresh registration whose manifest names another device, key or full URL.
+        [(("record", "device_id"), "ee" * 16), *_FRESH_NAMES],
+        [*_FRESH_REGISTRATION, (("manifest",), partial(_own_manifest, device_id="dd" * 16))],
+        [*_FRESH_REGISTRATION, (("manifest",), partial(_own_manifest, device_public_key="aa" * 64))],
+        [*_FRESH_REGISTRATION, (("manifest",), partial(_own_manifest, full_url="https://mfr.example/x"))],
+        # A record whose manifest path is not its full URL's: a snapshot of it would not load.
+        [*_FRESH_REGISTRATION, (("record", "manifest_path"), "/m/elsewhere.json")],
     ],
     ids=[
         "known_device", "used_path", "used_short_url", "used_full_url", "str_latest_ts",
         "int_manifest_path", "list_record", "object_manifest", "int_short_url", "null_full_url",
-        "short_device_id", "short_public_key", "unknown_member",
+        "short_device_id", "short_public_key", "unknown_member", "manifest_of_another_device",
+        "manifest_naming_another_device_id", "manifest_naming_another_key", "manifest_naming_another_full_url",
+        "manifest_path_of_another_url",
     ],
 )
 def test_store_rejects_a_bad_registration_line(tmp_path, edits):
@@ -856,3 +888,14 @@ def test_store_rejects_a_bad_registration_line(tmp_path, edits):
         f.write(json.dumps(entry) + "\n")
     with pytest.raises(ServerError, match="journal line 3"):
         ManufacturerServer.load(store)
+
+
+def test_store_loads_a_fresh_registration_line_with_its_own_manifest(tmp_path):
+    store = str(tmp_path / "server.json")
+    _store_rig(store, n=2)
+    entry = _registration(store)
+    for path, value in _FRESH_REGISTRATION:
+        _set(entry, path, value)
+    with open(store, "a", encoding="utf-8") as f:
+        f.write(json.dumps(entry) + "\n")
+    assert bytes.fromhex("ee" * 16) in ManufacturerServer.load(store).records
