@@ -1,6 +1,8 @@
 """Cryptographic primitives: ECDSA over prime256v1 and chunked SHA-256; and
 the key and record files, with ``record_from_json``, the one typed reader of
 every JSON document the program loads (its rule is in the README).
+``record_keys`` is the one field table of a record class: the reader, the
+writer and the manifest's byte layout all read it.
 
 All signatures are raw 64-byte ``r || s`` (big-endian, fixed width), never DER.
 Signing uses deterministic nonces (RFC 6979) so identical inputs produce
@@ -116,8 +118,7 @@ def hash_chunked(data: bytes, chunk_size: int) -> bytes:
     The result is independent of ``chunk_size``; chunking mirrors how a
     constrained device walks its program memory. In this model each chunk is
     one interpreter step that costs time and measures nothing, so the device
-    walks 1 MiB per update (``device.ATTEST_CHUNK_SIZE``): a 1 MiB image took
-    827-864 us in 4 KiB updates and 749-783 us in one (shared 2-core Xeon VM).
+    walks 1 MiB per update (``device.ATTEST_CHUNK_SIZE``).
     """
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
@@ -190,17 +191,22 @@ _SCALARS = {
 
 @functools.lru_cache(maxsize=None)
 def record_keys(cls) -> Dict[str, tuple]:
-    """The fields of the record class ``cls`` by JSON key, resolved once: (field
-    name, kind, many, required, minimum). A kind is a scalar type, a record class or
-    ``dict`` (a ``Dict[str, str]``); ``Optional[X]`` is X, and ``many`` a ``Tuple[X, ...]``."""
+    """The fields of the record class ``cls`` by JSON key, resolved once: (key,
+    field name, kind, many, required, declared byte ``width`` or None, the JSON type
+    read in line or None, its converter or None, the reader of any other value). A
+    kind is a scalar type, a record class or ``dict`` (a ``Dict[str, str]``);
+    ``Optional[X]`` is X, and ``many`` a ``Tuple[X, ...]``. Only a single scalar
+    with no minimum is read in line."""
     hints, table = get_type_hints(cls), {}
     for f in fields(cls):
         kind = hints[f.name]
         kind = get_args(kind)[0] if get_origin(kind) is Union else kind  # Optional[X]
         kind = dict if get_origin(kind) is dict else kind
-        many = get_origin(kind) is tuple
-        table[f.metadata.get("key") or f.name] = (f.name, get_args(kind)[0] if many else kind, many,
-                                                   f.default is MISSING, f.metadata.get("minimum"))
+        many, minimum = get_origin(kind) is tuple, f.metadata.get("minimum")
+        key, kind = f.metadata.get("key") or f.name, get_args(kind)[0] if many else kind
+        plain = _SCALARS[kind][0][0] if kind in _SCALARS and not many and minimum is None else None
+        table[key] = (key, f.name, kind, many, f.default is MISSING, f.metadata.get("width"),
+                      plain, bytes.fromhex if kind is bytes else None, _reader(kind, many, minimum))
     return table
 
 
@@ -237,25 +243,13 @@ def _reader(kind, many: bool, minimum: Optional[int]):
     return read
 
 
-@functools.lru_cache(maxsize=None)
-def _fields(cls) -> tuple:
-    """Per field: (key, name, required, the JSON type read in line, a scalar's
-    first one or None, its converter or None, the reader of any other value)."""
-    return tuple(
-        (key, name, required,
-         _SCALARS[kind][0][0] if kind in _SCALARS and not many and minimum is None else None,
-         bytes.fromhex if kind is bytes else None, _reader(kind, many, minimum))
-        for key, (name, kind, many, required, minimum) in record_keys(cls).items()
-    )
-
-
 def record_to_json(record) -> dict:
     """The dataclass ``record`` as the JSON object ``record_from_json`` reads back: each
     field under its key, in order, ``bytes`` as lowercase hex, records as objects."""
     return {key: v.hex() if isinstance(v := getattr(record, name), bytes)
             else v if v is None or kind in _SCALARS or kind is dict
             else [record_to_json(r) for r in v] if many else record_to_json(v)
-            for key, (name, kind, many, _, _) in record_keys(type(record)).items()}
+            for key, name, kind, many, _, _, _, _, _ in record_keys(type(record)).values()}
 
 
 def record_from_json(cls, doc, where: str = "record"):
@@ -265,8 +259,8 @@ def record_from_json(cls, doc, where: str = "record"):
     ``RecordError``."""
     if not isinstance(doc, dict):
         raise RecordError(f"{where} must be an object")
-    values, missing = {}, None
-    for key, name, required, plain, convert, read in _fields(cls):
+    table, values, missing = record_keys(cls), {}, None
+    for key, name, _, _, required, _, plain, convert, read in table.values():
         raw = doc.get(key)
         if type(raw) is plain:
             try:
@@ -279,8 +273,8 @@ def record_from_json(cls, doc, where: str = "record"):
             missing = key
     # Each value read is one key, so only a document with more keys can hold
     # an unknown one; a misspelt key is reported as that, not as a missing one.
-    if len(values) < len(doc) and not doc.keys() <= record_keys(cls).keys():
-        raise RecordError(f"unknown key(s) {sorted(doc.keys() - record_keys(cls).keys())} in {where}")
+    if len(values) < len(doc) and not doc.keys() <= table.keys():
+        raise RecordError(f"unknown key(s) {sorted(doc.keys() - table.keys())} in {where}")
     if missing is not None:
         raise RecordError(f"{where}: {missing} is required")
     try:

@@ -23,9 +23,6 @@ memory) until the first write access, and attestation hashes what is current.
 It walks that memory ``ATTEST_CHUNK_SIZE`` (1 MiB) per SHA-256 update, so an
 image of up to 1 MiB is one update. A finer walk measures the same digest:
 here each chunk is an interpreter step that costs time and measures nothing.
-Going from 4 KiB chunks to one update took a 1 MiB image from 827-864 to
-749-783 us and a 256 KiB one from 208-215 to 195-202 us (best of 30 x 20
-hashes, 4 runs, shared 2-core Xeon VM).
 """
 
 from __future__ import annotations

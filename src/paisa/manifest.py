@@ -3,8 +3,9 @@ short-URL registry that stands in for an external URL-shortening service.
 
 The ``Manifest`` dataclass is the manifest's one declaration. The signed
 bytes walk its payload fields in order, one rule per kind, and a ``bytes``
-field has its declared width. The JSON document is read by
-``crypto.record_from_json``. The signature covers the canonical bytes, not
+field has its declared width. The fields and widths come from
+``crypto.record_keys``, the table by which ``crypto.record_from_json`` reads
+the JSON document. The signature covers the canonical bytes, not
 the JSON text, so whitespace or key order never breaks verification, and a
 member that is no field can never be signed: it is refused.
 
@@ -21,7 +22,7 @@ import hashlib
 import json
 import string
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Dict, Optional, Tuple
 
@@ -73,19 +74,17 @@ def _list_to_json(items: Tuple[str, ...]) -> str:
     return "[\n    " + ",\n    ".join(map(encode_basestring_ascii, items)) + "\n  ]"
 
 
-# (name, kind, many, width or None, signed: a field with no default) of each field.
-_FIELDS = [
-    (f.name, kind, many, f.metadata.get("width"), required)
-    for f, (_, kind, many, required, _) in zip(fields(Manifest), crypto.record_keys(Manifest).values())
-]
-_PAYLOAD = tuple(f for f in _FIELDS if f[4])
+_KEYS = crypto.record_keys(Manifest)
+# (name, kind, many, width or None) of each signed field: a field with no default.
+_PAYLOAD = tuple((name, kind, many, width)
+                 for _, name, kind, many, required, width, *_ in _KEYS.values() if required)
 # The JSON template: per member, in key order, its fixed '"key": ' text, its
 # field and its value encoder. An attached field is a member only when set.
 _MEMBERS = tuple(
     sorted(
-        (encode_basestring_ascii(name) + ": ", name,
+        (encode_basestring_ascii(key) + ": ", name,
          _list_to_json if many else _hex_to_json if kind is bytes else encode_basestring_ascii)
-        for name, kind, many, _, _ in _FIELDS
+        for key, name, kind, many, *_ in _KEYS.values()
     )
 )
 
@@ -100,7 +99,7 @@ def canonicalize(manifest: Manifest) -> bytes:
     values = vars(manifest)
     parts = []
     try:
-        for name, kind, many, width, _ in _PAYLOAD:
+        for name, kind, many, width in _PAYLOAD:
             value = values[name]
             if kind is bytes:
                 if len(value) != width:

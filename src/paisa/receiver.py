@@ -25,9 +25,10 @@ a flood of forged frames is still open (ROADMAP item 2).
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
@@ -132,12 +133,11 @@ class ManifestSummary:
     deployment_purpose: str
     deployment_location: str
     status: str
-    # The summary as the JSON object a report embeds, made once per summary.
-    json_text: str = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        # vars() holds exactly the seven fields above until json_text is set.
-        object.__setattr__(self, "json_text", json.dumps(vars(self), sort_keys=True))
+    @functools.cached_property
+    def json_text(self) -> str:
+        """The summary as the JSON object a report embeds, made once, by the first report written."""
+        return json.dumps(vars(self), sort_keys=True)  # until cached, vars() holds only the fields
 
 
 class _CachedManifest(NamedTuple):
@@ -157,7 +157,7 @@ def _parse_manifest(fetched_at: int, fetched: FetchResult) -> _CachedManifest:
         man = manifest_from_json(fetched.manifest_bytes)
     except ManifestError:
         return _CachedManifest(fetched_at, fetched, None)
-    summary = ManifestSummary(*(getattr(man, f.name) for f in fields(ManifestSummary) if f.init))
+    summary = ManifestSummary(*(getattr(man, f.name) for f in fields(ManifestSummary)))
     return _CachedManifest(
         fetched_at, fetched, man, verify_manifest(man), man.device_id.hex(), summary
     )

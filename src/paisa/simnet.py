@@ -550,8 +550,4 @@ def run_scenario(source: Union[str, dict, Scenario]) -> SimResult:
 
 def summarize_verdicts(log: List[dict]) -> Dict[str, int]:
     """Count receiver verdicts in an event log, keyed by verdict name."""
-    counts: Dict[str, int] = {}
-    for entry in log:
-        if entry.get("event") == "verdict":
-            counts[entry["verdict"]] = counts.get(entry["verdict"], 0) + 1
-    return counts
+    return Counter(entry["verdict"] for entry in log if entry.get("event") == "verdict")

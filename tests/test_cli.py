@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from paisa import crypto, pcapio, simnet
+from paisa import crypto, device, pcapio, simnet
 from paisa.cli import main
 from paisa.manifest import ManifestError, manifest_from_json
 from paisa.server import ManufacturerServer, ServerError
@@ -390,6 +390,27 @@ def test_live_server_device_scan_end_to_end(tmp_path, capsys):
 
         assert main(["scan", "--input", pcap, "--store", store]) == 0
         assert "3 verified of 3 frames" in capsys.readouterr().err
+
+
+def test_device_whose_sync_gets_no_reply_stays_silent(tmp_path, capsys, monkeypatch):
+    """One SyncReq to a port with no listener: its wait for a reply times out,
+    and the device writes neither its state nor a pcap."""
+    monkeypatch.setattr(device, "MAX_SYNC_ATTEMPTS", 1)
+    monkeypatch.setattr(device, "SYNC_TIMEOUT_BASE", 1)
+    config, pcap = tmp_path / "device.json", tmp_path / "live.pcap"
+    assert provision(tmp_path, device_out=str(config))[0] == 0
+    # Unindented, unlike what the device writes, so a rewrite of the same state shows.
+    config.write_text(json.dumps(json.loads(config.read_text())))
+    before = config.read_bytes()
+    capsys.readouterr()
+    rc = main([
+        "device", "--config", str(config), "--server", f"127.0.0.1:{free_udp_port()}",
+        "--image", str(tmp_path / "fw.bin"), "--pcap", str(pcap),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == "time sync failed; device stays silent\n"
+    assert config.read_bytes() == before
+    assert not pcap.exists()
 
 
 def test_device_requires_an_image(tmp_path, capsys):

@@ -451,6 +451,22 @@ def provision_kwargs(image):
     )
 
 
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        ({"device_id": b"\x05" * 15}, "device_id must be 16 bytes"),
+        ({"short_url": "short"}, "short_url must be 11 ASCII characters"),
+        ({"full_url": 1}, "full_url must be a string"),
+    ],
+    ids=["short_device_id", "short_short_url", "int_full_url"],
+)
+def test_provision_refuses_state_the_device_could_not_use(change, error):
+    dev = Device()
+    with pytest.raises(DeviceError, match=error):
+        dev.provision(**{**provision_kwargs(b""), **change})
+    assert dev.trusted is None and dev.software is None
+
+
 _template = Device()
 _template.provision(**provision_kwargs(b""))
 STATE_TEMPLATE = _template.export_state()

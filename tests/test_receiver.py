@@ -550,6 +550,17 @@ def test_registered_short_url_with_no_hosted_manifest_is_fetch_error(rig):
     assert fetcher.call_count == 1
 
 
+@pytest.mark.parametrize(
+    "short_url, error",
+    [("short", "must be 11 ASCII chars"), ("AAAAAAAAAAA", "is not registered")],
+    ids=["short_key", "unregistered_key"],
+)
+def test_registry_fetcher_refuses_a_short_url_it_cannot_resolve(rig, short_url, error):
+    fetcher = RegistryFetcher(rig["server"].registry, rig["server"].serve_manifest)
+    with pytest.raises(FetchError, match=error):
+        fetcher.fetch(short_url)
+
+
 def test_unencodable_manifest_string_is_bad_manifest_signature(rig):
     frame = synced_frame(rig, now=1000)
     hosted = rig["server"].manifests

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from paisa import crypto, wire
 from paisa.device import Device, DeviceError, TimerConfig
-from paisa.manifest import ManifestError, manifest_from_json, verify_manifest
+from paisa.manifest import ManifestError, ShortUrlRegistry, manifest_from_json, verify_manifest
 from paisa.server import SESSION_TTL, DeviceDescription, ManufacturerServer, ServerError
 
 from conftest import SeededNonces, complete_sync
@@ -840,17 +840,16 @@ _FRESH_NAMES = [
 _FRESH_REGISTRATION = [(("record", "device_id"), "ee" * 16), *_FRESH_NAMES, (("manifest",), _own_manifest)]
 
 
+# Device 0's full URL, its manifest path, and the short URL the registry gave it.
+_DEVICE_0_URL = "https://mfr.example/manifests/store-0.json"
+_DEVICE_0_SHORT_URL = ShortUrlRegistry().key_for(_DEVICE_0_URL)
+
+
 @pytest.mark.parametrize(
-    "edits",
-    [
+    "edits, refusal",
+    [(edits, "") for edits in [
         [],  # the same registration again: a known device
         [(("record", "device_id"), "ee" * 16)],  # a used manifest path
-        [(("record", "device_id"), "ee" * 16), (("record", "manifest_path"), "/m/new.json")],  # used short URL
-        [
-            (("record", "device_id"), "ee" * 16),
-            (("record", "manifest_path"), "/m/new.json"),
-            (("short_url",), "AAAAAAAAAAA"),
-        ],  # used full URL
         [(("record", "device_id"), "ee" * 16), (("record", "latest_ts"), "0")],
         [(("record", "device_id"), "ee" * 16), (("record", "manifest_path"), 5)],
         [(("record",), [1, 2])],
@@ -869,16 +868,32 @@ _FRESH_REGISTRATION = [(("record", "device_id"), "ee" * 16), *_FRESH_NAMES, (("m
         [*_FRESH_REGISTRATION, (("manifest",), partial(_own_manifest, full_url="https://mfr.example/x"))],
         # A record whose manifest path is not its full URL's: a snapshot of it would not load.
         [*_FRESH_REGISTRATION, (("record", "manifest_path"), "/m/elsewhere.json")],
+    ]] + [
+        # A fresh registration whose only fault is device 0's short URL.
+        (
+            [*_FRESH_REGISTRATION, (("short_url",), _DEVICE_0_SHORT_URL)],
+            f"registry key '{_DEVICE_0_SHORT_URL}' or URL .* is already in use",
+        ),
+        # ... or device 0's full URL, which comes with device 0's manifest path.
+        (
+            [
+                *_FRESH_REGISTRATION,
+                (("full_url",), _DEVICE_0_URL),
+                (("record", "manifest_path"), "/manifests/store-0.json"),
+                (("manifest",), _own_manifest),
+            ],
+            "manifest path /manifests/store-0.json is in use",
+        ),
     ],
     ids=[
-        "known_device", "used_path", "used_short_url", "used_full_url", "str_latest_ts",
+        "known_device", "used_path", "str_latest_ts",
         "int_manifest_path", "list_record", "object_manifest", "int_short_url", "null_full_url",
         "short_device_id", "short_public_key", "unknown_member", "manifest_of_another_device",
         "manifest_naming_another_device_id", "manifest_naming_another_key", "manifest_naming_another_full_url",
-        "manifest_path_of_another_url",
+        "manifest_path_of_another_url", "used_short_url", "used_full_url",
     ],
 )
-def test_store_rejects_a_bad_registration_line(tmp_path, edits):
+def test_store_rejects_a_bad_registration_line(tmp_path, edits, refusal):
     store = str(tmp_path / "server.json")
     _store_rig(store, n=2)
     entry = _registration(store)
@@ -886,7 +901,7 @@ def test_store_rejects_a_bad_registration_line(tmp_path, edits):
         _set(entry, path, value)
     with open(store, "a", encoding="utf-8") as f:
         f.write(json.dumps(entry) + "\n")
-    with pytest.raises(ServerError, match="journal line 3"):
+    with pytest.raises(ServerError, match="journal line 3 is corrupt: .*" + refusal):
         ManufacturerServer.load(store)
 
 

@@ -60,7 +60,7 @@ def test_readme_scenario_table_lists_exactly_the_keys_each_section_accepts():
             documented[name].add(key.strip("`"))
     accepted = {"top level": set(crypto.record_keys(simnet.Scenario))}
     for owner in (simnet.Scenario, simnet.AdversaryPolicy):
-        for key, (_, kind, many, _, _) in crypto.record_keys(owner).items():
+        for key, _, kind, many, *_ in crypto.record_keys(owner).values():
             if many:
                 accepted[key] = set(crypto.record_keys(kind))
     assert documented == accepted
